@@ -7,6 +7,15 @@ reading the same stretch of the same relator from a rotated start is the
 same occurrence and does not count.  C'(lambda) holds when every piece
 is strictly shorter than lambda * length.
 
+Pieces are found by one numpy kernel.  The doubled readings (each
+relator and its inverse, written twice) form a (2N, 2l) uint8 array with
+the letters -n..-1, 1..n coded 0..2n-1 in order, so byte order is word
+order.  Each cyclic k-gram is one k-byte void value, and a piece of
+length k exists exactly when two of the 2N*l grams are equal.  Piece
+lengths are downward closed (a prefix of a piece is a piece at the same
+occurrences), so C'(lambda) is one kernel call at k = ceil(lambda * l),
+and the maximum piece length is a binary search over k.
+
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
 decides the word problem (Greendlinger).
@@ -14,10 +23,13 @@ decides the word problem (Greendlinger).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .sampler import relator_count, DensityParams
 from .words import Word, Presentation, free_reduce, invert, rotate
@@ -62,60 +74,98 @@ class PieceReport:
     witnesses: list[tuple[Word, Occurrence, Occurrence]]
 
 
-def _readings(p: Presentation) -> list[tuple[Occurrence, tuple[int, ...]]]:
-    """Doubled cyclic readings; subwords of length <= l starting in [0, l)
-    of reading (j, e) are exactly the cyclic occurrences."""
-    out = []
-    for j, r in enumerate(p.relators):
-        for e, base in ((1, tuple(r)), (-1, tuple(invert(r)))):
-            out.append((Occurrence(j, e, 0), base + base))
-    return out
+def _readings(p: Presentation) -> np.ndarray:
+    """The doubled cyclic readings as a (2N, 2l) uint8 array of letter
+    codes: row 2j reads relator j, row 2j+1 its inverse.  The grams of
+    length <= l starting in [0, l) of a row are exactly its cyclic
+    occurrences, at flat index row * l + start."""
+    n = p.rank
+    fwd = np.array(p.relators, dtype=np.int8)
+    rows = np.stack([fwd, -fwd[:, ::-1]], axis=1).reshape(-1, p.length)
+    codes = (rows + np.where(rows < 0, n, n - 1)).astype(np.uint8)
+    return np.concatenate([codes, codes], axis=1)
 
 
-def _pieces_of_length(p: Presentation, k: int) -> dict[tuple[int, ...], list[Occurrence]]:
-    """All length-k words with >= 2 distinct cyclic occurrences."""
-    l = p.length
-    seen: dict[tuple[int, ...], list[Occurrence]] = {}
-    for (occ0, doubled) in _readings(p):
-        for s in range(l):
-            seen.setdefault(doubled[s : s + k], []).append(occ0._replace(start=s))
-    return {w: occs for w, occs in seen.items() if len(occs) >= 2}
+def _grams(codes: np.ndarray, k: int) -> np.ndarray:
+    """A fresh flat array of the cyclic k-grams, one k-byte void each."""
+    rows, width = codes.shape
+    view = np.ndarray((rows, width // 2), dtype=f"V{k}", buffer=codes, strides=(width, 1))
+    return view.flatten()
+
+
+def _has_piece(codes: np.ndarray, k: int) -> bool:
+    """Whether some length-k word has two distinct cyclic occurrences."""
+    grams = _grams(codes, k)
+    grams.sort()
+    return bool((grams[1:] == grams[:-1]).any())
+
+
+def _gate_length(lam, l: int) -> int:
+    """k = ceil(lam * l): C'(lam) holds iff no piece of length k exists."""
+    return math.ceil(Fraction(lam) * l)
 
 
 def max_piece_length(p: Presentation) -> PieceReport:
     """Exact maximum piece length with witnesses, 0 if no piece exists.
 
-    Piece lengths are downward closed (a prefix of a piece is a piece at
-    the same occurrences), so the maximum is found by binary search over
-    k, hashing all cyclic k-grams at each step.
+    Binary search over k on the k-gram kernel.  The witnesses are the
+    pieces of maximum length in word order, each with its first two
+    occurrences in (relator, direction, start) reading order.
     """
     if not p.relators:
         return PieceReport(0, [])
-    l = p.length
-    if not _pieces_of_length(p, 1):
+    codes = _readings(p)
+    if not _has_piece(codes, 1):
         return PieceReport(0, [])
-    lo, hi = 1, l  # piece of length lo exists; none of length hi+1
+    lo, hi = 1, p.length  # piece of length lo exists; none of length hi+1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _pieces_of_length(p, mid):
+        if _has_piece(codes, mid):
             lo = mid
         else:
             hi = mid - 1
-    witnesses = [
-        (Word(w), occs[0], occs[1]) for w, occs in sorted(_pieces_of_length(p, lo).items())
-    ]
-    return PieceReport(lo, witnesses)
+    return PieceReport(lo, _witnesses(p, codes, lo))
+
+
+def _witnesses(p: Presentation, codes: np.ndarray, k: int) -> list[tuple[Word, Occurrence, Occurrence]]:
+    """Every piece of length k with its first two occurrences.  A stable
+    argsort groups equal grams in word order and keeps each group's flat
+    indices, hence its occurrences, in reading order."""
+    l, n = p.length, p.rank
+    grams = _grams(codes, k)
+    order = np.argsort(grams, kind="stable")
+    ordered = grams[order]
+    same = ordered[1:] == ordered[:-1]
+    firsts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
+    alphabet = [*range(-n, 0), *range(1, n + 1)]
+
+    def occurrence(flat: int) -> Occurrence:
+        row, start = divmod(flat, l)
+        return Occurrence(row // 2, 1 - 2 * (row % 2), start)
+
+    out = []
+    for i in firsts.tolist():
+        a, b = int(order[i]), int(order[i + 1])
+        row, start = divmod(a, l)
+        word = Word(alphabet[c] for c in codes[row, start : start + k].tolist())
+        out.append((word, occurrence(a), occurrence(b)))
+    return out
 
 
 def satisfies_cprime(p: Presentation, lam) -> bool:
-    """True iff every piece is strictly shorter than lam * length.
+    """True iff every piece is strictly shorter than lam * length, i.e.
+    no piece of length k = ceil(lam * length) exists.
 
     A presentation with no relators satisfies every C'(lambda).
     """
-    lam = Fraction(lam)
     if not p.relators:
         return True
-    return max_piece_length(p).max_piece_length < lam * p.length
+    k = _gate_length(lam, p.length)
+    if k < 1:
+        return False
+    if k > p.length:
+        return True
+    return not _has_piece(_readings(p), k)
 
 
 @lru_cache(maxsize=256)
@@ -209,8 +259,5 @@ def first_moment_piece_bound(n: int, d, l: int, lam) -> float:
     """N^2 * l^2 * (2n-1)^(-ceil(lam*l)) with N the relator count: a
     Markov-style estimate for the expected number of forbidden shared
     subwords, used as a statistical oracle."""
-    d = Fraction(d)
-    lam = Fraction(lam)
     N = relator_count(DensityParams(n, d, l, 0))
-    k = -(-(lam * l).numerator // (lam * l).denominator)  # ceil
-    return float(Fraction(N * N * l * l, (2 * n - 1) ** k))
+    return float(Fraction(N * N * l * l, (2 * n - 1) ** _gate_length(lam, l)))

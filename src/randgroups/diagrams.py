@@ -560,32 +560,6 @@ def _build_cactus_and_fold(w0: Word, factors) -> VanKampenDiagram:
     return VanKampenDiagram(len(used), edges, faces, outer, base, numbering)
 
 
-@dataclass
-class AbstractDiagram:
-    """Diagram combinatorics with the labels stripped: faces keep a
-    number (faces sharing a number are meant to bear one relator), a
-    starting dart and an orientation.  Families of these are only ever
-    counted, never enumerated; see advk_count_bound."""
-
-    n_vertices: int
-    edges: dict  # edge id -> (tail, head)
-    faces: list
-    outer: list
-    base: int
-    numbering: list
-
-    @classmethod
-    def from_diagram(cls, D: VanKampenDiagram) -> "AbstractDiagram":
-        return cls(
-            D.n_vertices,
-            {e: (t, h) for e, (t, h, _) in D.edges.items()},
-            [list(f) for f in D.faces],
-            list(D.outer),
-            D.base,
-            list(D.numbering),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Exact counting bounds.
 
@@ -626,16 +600,16 @@ def face_bound(params: BoundsParams) -> int:
 
 @lru_cache(maxsize=None)
 def stirling(f: int, n: int) -> int:
-    """Stirling number of the second kind S(f, n)."""
+    """Stirling number of the second kind S(f, n), by the row recurrence
+    S(i, j) = j * S(i-1, j) + S(i-1, j-1) over j <= n."""
     if n < 0 or f < 0:
         raise ValueError("need f, n >= 0")
     if n > f:
         return 0
-    if f == 0:
-        return 1
-    if n == 0:
-        return 0
-    return n * stirling(f - 1, n) + stirling(f - 1, n - 1)
+    row = [1] + [0] * n  # S(0, j)
+    for _ in range(f):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n + 1)]
+    return row[n]
 
 
 def planar_graph_bound(f: int) -> int:

@@ -81,10 +81,6 @@ class ResultRow:
         )
 
 
-def trial_stream(seed: int, cell: int, trial: int) -> np.random.Generator:
-    return stream(seed, cell, trial)
-
-
 def _run_trials(cfg: ExperimentConfig, cell: int, fn):
     """Run fn(trial index) -> outcome over all trials, any worker count,
     returning outcomes in trial order.
@@ -138,7 +134,7 @@ def run_cprime_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
         def one(t: int) -> str:
             params = DensityParams(cfg.rank, cfg.density, length, cfg.seed)
-            p = sample_presentation(params, trial_stream(cfg.seed, cell, t))
+            p = sample_presentation(params, stream(cfg.seed, cell, t))
             return "success" if satisfies_cprime(p, cfg.lam) else "failure"
 
         outcomes = _run_trials(cfg, cell, one)
@@ -174,7 +170,7 @@ def run_sentence_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
         def one(t: int) -> str:
             params = DensityParams(cfg.rank, cfg.density, length, cfg.seed)
-            p = sample_presentation(params, trial_stream(cfg.seed, cell, t))
+            p = sample_presentation(params, stream(cfg.seed, cell, t))
             if not satisfies_cprime(p, Fraction(1, 6)):
                 return "skip"
             try:
@@ -303,7 +299,7 @@ def run_geometry_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
         def one(t: int) -> str:
             params = DensityParams(cfg.rank, cfg.density, length, cfg.seed)
-            p = sample_presentation(params, trial_stream(cfg.seed, cell, t))
+            p = sample_presentation(params, stream(cfg.seed, cell, t))
             if not satisfies_cprime(p, Fraction(1, 8)):
                 return "skip"
             try:

@@ -113,14 +113,20 @@ class _SignedUF:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.sign = [1] * n  # sign relative to parent
+        self.size = [1] * n
 
     def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 1
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
+        """(root, sign of x relative to root), compressing the path."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        root, s = x, 1
+        for y in reversed(path):  # nearest the root first
+            s *= self.sign[y]
+            self.sign[y] = s
+            self.parent[y] = root
+        return root, s
 
     def union(self, x: int, y: int, s: int) -> None:
         """Assert position x equals position y with relative sign s."""
@@ -130,8 +136,11 @@ class _SignedUF:
             if sx * sy != s:
                 raise UnificationConflict()
             return
+        if self.size[rx] > self.size[ry]:
+            rx, ry = ry, rx
         self.parent[rx] = ry
         self.sign[rx] = sx * s * sy
+        self.size[ry] += self.size[rx]
 
 
 @dataclass
@@ -193,8 +202,7 @@ def unify_positions(layout: IntervalLayout) -> PieceAlphabet:
         root, s = uf.find(pos)
         comp.setdefault(root, []).append((pos, s))
     pieces = []
-    for root in sorted(comp):
-        members = sorted(comp[root])
+    for members in comp.values():  # in order of first position, as after a merge
         # normalize so the first member reads forward
         flip = members[0][1]
         pieces.append(Piece(1, [(pos, s * flip) for pos, s in members]))
@@ -460,8 +468,7 @@ def relator_decoration(
         root, s = uf.find(p)
         comp.setdefault(root, []).append((p, s))
     pieces = []
-    for root in sorted(comp):
-        members = sorted(comp[root])
+    for members in comp.values():  # in order of first position, as after a merge
         flip = members[0][1]
         pieces.append(Piece(1, [(p, s * flip) for p, s in members]))
     walls = {r * length for r in range(n_rel)}

@@ -10,21 +10,10 @@ operation returns a new word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MAX_RANK = len(_LETTERS)
-
-
-class Letter(NamedTuple):
-    """A signed generator: generator index (1-based) and sign in {+1, -1}."""
-
-    gen: int
-    sign: int
-
-    @property
-    def value(self) -> int:
-        return self.gen * self.sign
 
 
 def letter_to_char(x: int) -> str:
@@ -74,10 +63,6 @@ class Word(tuple):
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter(abs(x), 1 if x > 0 else -1) for x in self)
 
     @property
     def is_reduced(self) -> bool:

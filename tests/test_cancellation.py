@@ -15,7 +15,7 @@ from randgroups.cancellation import (
     first_moment_piece_bound,
     NotSmallCancellation,
 )
-from oracles import max_piece_oracle, bfs_trivial_oracle, enumerate_reduced_words
+from oracles import max_piece_oracle, all_cyclic_occurrences, bfs_trivial_oracle, enumerate_reduced_words
 
 
 def W(s):
@@ -94,6 +94,61 @@ def test_max_piece_matches_oracle_on_random_presentations(seed, length, n_rel):
             relators.append(w)
     p = Presentation(2, relators, length)
     assert max_piece_length(p).max_piece_length == max_piece_oracle(p)
+
+
+LAMBDAS = tuple(Fraction(x) for x in ("-1/8", "0", "1/8", "1/6", "1/4", "1/2", "1", "3/2"))
+
+
+def _oracle_report(p):
+    """(max piece, witnesses) by brute force: every maximum-length piece in
+    word order with its first two cyclic occurrences."""
+    k = max_piece_oracle(p)
+    if k == 0:
+        return 0, []
+    occs = all_cyclic_occurrences(p, k)
+    return k, [(Word(w), o[0], o[1]) for w, o in sorted(occs.items()) if len(o) >= 2]
+
+
+def _assert_matches_oracle(p):
+    k, witnesses = _oracle_report(p)
+    rep = max_piece_length(p)
+    assert (rep.max_piece_length, [(w, tuple(a), tuple(b)) for w, a, b in rep.witnesses]) == (k, witnesses)
+    for lam in LAMBDAS:
+        assert satisfies_cprime(p, lam) == (k < lam * p.length), lam
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 26])
+@pytest.mark.parametrize("density", [Fraction(0), Fraction(1, 16), Fraction(1, 10)])
+def test_pieces_and_gate_match_oracle_on_seeded_presentations(rank, density):
+    # 12 grid cells x 17 seeds = 204 presentations, lengths 4..12; rank 26
+    # uses all 52 letter codes, and l = 8, 12 make lambda * l integral
+    for seed in range(17):
+        p = sample_presentation(DensityParams(rank, density, 4 + seed % 9, seed))
+        _assert_matches_oracle(p)
+
+
+def test_pieces_fixed_cases():
+    empty = Presentation(2, [], 0)
+    assert max_piece_length(empty).max_piece_length == 0
+    assert all(satisfies_cprime(empty, lam) for lam in LAMBDAS)
+    for p in (
+        Presentation(2, [W("a")]),
+        Presentation(2, [W("a"), W("A")]),
+        Presentation(2, [W("abab")]),
+        Presentation(2, [W("abab"), W("abab")]),
+        Presentation(3, [W("abcacb"), W("CBCABA"), W("abcacb")]),
+    ):
+        _assert_matches_oracle(p)
+    assert max_piece_length(Presentation(2, [W("a")])).witnesses == []
+    rep = max_piece_length(Presentation(2, [W("a"), W("A")]))
+    assert rep.witnesses == [(W("A"), (0, -1, 0), (1, 1, 0)), (W("a"), (0, 1, 0), (1, -1, 0))]
+    rep = max_piece_length(Presentation(2, [W("abab")]))
+    assert [(w.text(), a, b) for w, a, b in rep.witnesses] == [
+        ("BABA", (0, -1, 0), (0, -1, 2)),
+        ("ABAB", (0, -1, 1), (0, -1, 3)),
+        ("abab", (0, 1, 0), (0, 1, 2)),
+        ("baba", (0, 1, 1), (0, 1, 3)),
+    ]
 
 
 def test_dehn_reduce_whole_relator():

@@ -301,6 +301,11 @@ def test_stirling_examples_and_oracle():
             assert stirling(f, n) == set_partition_count(f, n)
 
 
+def test_stirling_deep_row_has_no_recursion_limit():
+    # S(f, 3) = (3^f - 3 * 2^f + 3) / 6; f = 1500 once exceeded the recursion limit
+    assert stirling(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+
+
 def test_planar_graph_bound():
     assert planar_graph_bound(1) == 1024
     assert planar_graph_bound(2) == 1048576

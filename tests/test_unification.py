@@ -27,6 +27,7 @@ from randgroups.unification import (
     solution_template,
     free_letter_bound,
     fulfill_probability_bound,
+    _SignedUF,
 )
 from oracles import transitive_closure_unify
 
@@ -170,6 +171,37 @@ def test_unify_matches_transitive_closure_oracle(seed):
             flip[c] = rel
     # pieces partition the positions
     assert sum(p.length * p.multiplicity() for p in alphabet.pieces) == layout.total
+
+
+def test_unify_long_chain_has_no_recursion_limit():
+    # one double shifting a 5000-position segment by one chains every
+    # position to the next; a recursive find once overflowed the stack here
+    n = 5000
+    layout = IntervalLayout([Segment("x", 1, n, 0)], [Double(0, 0, 0, 1, n - 1, False)])
+    alphabet = unify_positions(layout)
+    assert [(p.length, p.occurrences) for p in alphabet.pieces] == [(1, [(i, 1) for i in range(n)])]
+
+
+def test_signed_union_find_deep_path_is_compressed():
+    n = 5000
+    uf = _SignedUF(n)
+    uf.parent = [min(i + 1, n - 1) for i in range(n)]  # a bare chain 0 -> 1 -> ... -> n-1
+    uf.sign = [-1] * (n - 1) + [1]
+    assert uf.find(0) == (n - 1, (-1) ** (n - 1))
+    assert all(uf.parent[i] == n - 1 for i in range(n))
+    assert [uf.find(i)[1] for i in range(n)] == [(-1) ** (n - 1 - i) for i in range(n)]
+    uf.union(0, n - 1, -1)  # consistent with the chain's signs: no conflict
+    with pytest.raises(UnificationConflict):
+        uf.union(0, n - 1, 1)
+
+
+def test_signed_union_find_joins_by_size():
+    uf = _SignedUF(6)
+    uf.union(0, 1, 1)
+    uf.union(0, 2, -1)
+    uf.union(0, 3, 1)  # the singleton 3 hangs under the larger tree
+    assert uf.find(3)[0] == uf.find(0)[0] != 3
+    assert uf.find(3)[1] == uf.find(0)[1] == -uf.find(2)[1]
 
 
 def test_boundary_decoration_every_piece_doubled():
