@@ -8,7 +8,7 @@ as the relator length grows, next to the first-moment oracle column.
 import argparse
 from fractions import Fraction
 
-from randgroups.harness import ExperimentConfig, run_cprime_experiment, emit
+from randgroups.harness import ExperimentConfig, run_experiment, emit
 
 
 def main():
@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--lambda", dest="lam", default="1/8")
     ap.add_argument("--seed", type=int, default=2026)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="cprime_trend.csv")
     args = ap.parse_args()
 
@@ -31,9 +30,8 @@ def main():
         seed=args.seed,
         trials=args.trials,
         lam=Fraction(args.lam),
-        workers=args.workers,
     )
-    rows = run_cprime_experiment(cfg)
+    rows = run_experiment(cfg)
     emit(rows, "csv", args.out)
     for r in rows:
         print(

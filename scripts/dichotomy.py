@@ -10,7 +10,7 @@ claim.
 import argparse
 from fractions import Fraction
 
-from randgroups.harness import ExperimentConfig, run_sentence_experiment, emit
+from randgroups.harness import ExperimentConfig, run_experiment, emit
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
         sentence_text=args.sentence,
         ball=args.ball,
     )
-    rows = run_sentence_experiment(cfg)
+    rows = run_experiment(cfg)
     emit(rows, "csv", args.out)
     for r in rows:
         print(

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from randgroups.sampler import DensityParams, sample_presentation
 from randgroups.cancellation import satisfies_cprime
-from randgroups.cayley import build_ball
-from randgroups.harness import geometry_scan
+from randgroups.cayley import build_ball, geometry_scan
 
 
 def main():

@@ -12,7 +12,8 @@ C'(1/6) group, since the smallest diagram boundary is one face).
 Geometric claims are asserted only for reliable pairs, under the
 containment criterion d(1,u) + d(1,v) + d(u,v) <= 2R: every true
 geodesic between u and v then lies inside the ball, so in-ball
-enumeration is exact and complete for the group.
+enumeration is exact and complete for the group.  geometry_scan runs the
+checks over every reliable pair and triple of a ball.
 """
 
 from __future__ import annotations
@@ -116,6 +117,11 @@ class _AbelianReducer:
 # -- the ball -----------------------------------------------------------------
 
 
+def _column(g: int) -> int:
+    """Adjacency column of letter g: a, A, b, B, ... -> 0, 1, 2, 3, ..."""
+    return (abs(g) - 1) * 2 + (0 if g > 0 else 1)
+
+
 @dataclass
 class CayleyBall:
     presentation: Presentation
@@ -130,8 +136,7 @@ class CayleyBall:
         return len(self.words)
 
     def column(self, g: int) -> int:
-        n = self.presentation.rank
-        return (abs(g) - 1) * 2 + (0 if g > 0 else 1)
+        return _column(g)
 
     def letter_of_column(self, col: int) -> int:
         g = col // 2 + 1
@@ -228,9 +233,6 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
     by_class: dict[tuple[int, ...], list[int]] = {vecs[0]: [0]}
     adj: list[list[int]] = [[-1] * (2 * n)]
 
-    def col(g: int) -> int:
-        return (abs(g) - 1) * 2 + (0 if g > 0 else 1)
-
     def candidate_vec(u: int, g: int) -> tuple[int, ...]:
         v = list(vecs[u])
         v[abs(g) - 1] += 1 if g > 0 else -1
@@ -253,7 +255,7 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         nxt: list[int] = []
         for u in layer:
             for g in letters:
-                c = col(g)
+                c = _column(g)
                 if adj[u][c] >= 0:
                     continue
                 w = _append_reduce(words[u], g)
@@ -276,13 +278,13 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
                         adj.append([-1] * (2 * n))
                         nxt.append(v)
                 adj[u][c] = v
-                adj[v][col(-g)] = u
+                adj[v][_column(-g)] = u
         layers.append(nxt)
 
     # edges among the outermost layer (no new vertices)
     for u in layers[R]:
         for g in letters:
-            c = col(g)
+            c = _column(g)
             if adj[u][c] >= 0:
                 continue
             w = _append_reduce(words[u], g)
@@ -295,7 +297,7 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
                         break
             if v is not None:
                 adj[u][c] = v
-                adj[v][col(-g)] = u
+                adj[v][_column(-g)] = u
 
     return CayleyBall(
         p,
@@ -647,3 +649,117 @@ def digon_side_uniqueness(ball: CayleyBall, digons: list[Digon]) -> UniquenessRe
                     f"cell arcs ({cell.low_arc}, {cell.up_arc}) not both longer than l/4"
                 )
     return rep
+
+
+# -- exhaustive scans -----------------------------------------------------------
+
+
+GEOMETRY_CHECKS = ("single-layer", "digons", "minimizers")
+
+
+def require_known_checks(checks) -> None:
+    """Reject check names that geometry_scan does not know."""
+    unknown = [c for c in checks if c not in GEOMETRY_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown geometry checks {unknown}; known: {', '.join(GEOMETRY_CHECKS)}")
+
+
+@dataclass
+class GeometryReport:
+    pairs_checked: int = 0
+    triples_checked: int = 0
+    digon_count: int = 0
+    max_divisor_len: int = 0
+    violations: list[str] = field(default_factory=list)
+
+    def merge(self, other: "GeometryReport"):
+        self.pairs_checked += other.pairs_checked
+        self.triples_checked += other.triples_checked
+        self.digon_count += other.digon_count
+        self.max_divisor_len = max(self.max_divisor_len, other.max_divisor_len)
+        self.violations.extend(other.violations)
+
+
+def geometry_scan(ball: CayleyBall, checks=GEOMETRY_CHECKS) -> GeometryReport:
+    """Exhaustive verification over the ball, one pair class per vertex.
+
+    Pairs (u, v) translate to (1, u^-1 v), so scanning every reliable
+    pair (identity, w) is exhaustive up to translation; likewise triples
+    for the minimizer check.  Raises ValueError on an unknown check name.
+    """
+    require_known_checks(checks)
+    rep = GeometryReport()
+    R = ball.radius
+    digons = []
+    want_layers = "single-layer" in checks or "digons" in checks
+    if want_layers:
+        for v in range(1, ball.n_vertices):
+            d = int(ball.dist[v])
+            if 2 * d > 2 * R:
+                continue
+            rep.pairs_checked += 1
+            cfg = single_layer(ball, 0, v)
+            rep.violations.extend(f"pair (0,{v}): {msg}" for msg in cfg.violations)
+            for m in cfg.digons:
+                digons.extend(m.members)
+                rep.digon_count += len(m.members)
+                for dg in m.members:
+                    rep.violations.extend(f"pair (0,{v}): {msg}" for msg in dg.violations)
+                    for _, _, path in dg.division_pairs:
+                        rep.max_divisor_len = max(rep.max_divisor_len, len(path) - 1)
+    if "digons" in checks and digons:
+        uniq = digon_side_uniqueness(ball, digons)
+        rep.violations.extend(uniq.violations)
+    if "minimizers" in checks:
+        checked, bad = _minimizer_scan(ball)
+        rep.triples_checked += checked
+        rep.violations.extend(bad)
+    return rep
+
+
+def _minimizer_scan(ball: CayleyBall):
+    """Count argmin points of d(., c) over every based geodesic, for every
+    c, skipping triples with an unreliable pair.  Exhaustive up to
+    translation."""
+    V = ball.n_vertices
+    R = ball.radius
+    d1 = ball.dist.astype(np.int64)
+    # base geodesic of (0, w) = the canonical word path, for reliable w
+    base_flat = []
+    offsets = []
+    targets = []
+    for w in range(1, V):
+        if 2 * int(d1[w]) > 2 * R:
+            continue
+        path = [0]
+        v = 0
+        for g in ball.words[w]:
+            v = ball.neighbor(v, g)
+            path.append(v)
+        offsets.append(len(base_flat))
+        base_flat.extend(path)
+        targets.append(w)
+    if not targets:
+        return 0, []
+    base_flat = np.array(base_flat, dtype=np.int64)
+    offsets = np.array(offsets, dtype=np.int64)
+    sizes = np.diff(np.append(offsets, len(base_flat)))
+
+    violations = []
+    checked = 0
+    for c in range(V):
+        dist_c = ball.bfs_from(c).astype(np.int64)
+        vals = dist_c[base_flat]
+        reliable = (vals >= 0) & (d1[base_flat] + int(d1[c]) + vals <= 2 * R)
+        all_ok = np.logical_and.reduceat(reliable, offsets)
+        safe_vals = np.where(reliable, vals, np.iinfo(np.int64).max)
+        mins = np.minimum.reduceat(safe_vals, offsets)
+        is_min = safe_vals == np.repeat(mins, sizes)
+        counts = np.add.reduceat(is_min, offsets)
+        checked += int(all_ok.sum())
+        bad = np.nonzero(all_ok & (counts > 2))[0]
+        for i in bad:
+            violations.append(
+                f"base (0,{targets[i]}), point {c}: {int(counts[i])} minimizers"
+            )
+    return checked, violations

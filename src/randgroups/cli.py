@@ -15,7 +15,7 @@ from fractions import Fraction
 from .words import Word, Presentation, TemplateWord
 from .sampler import DensityParams, sample_presentation
 from .cancellation import max_piece_length, satisfies_cprime, dehn_reduce
-from .cayley import build_ball
+from .cayley import build_ball, geometry_scan, require_known_checks
 from .sentences import parse_sentence, to_clausal, refute_on_ball_free, refute_on_ball_group
 from .diagrams import BoundsParams, face_bound, advk_total_bound
 from .unification import (
@@ -80,10 +80,11 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_ball(args) -> int:
+    checks = tuple(c.strip() for c in args.verify.split(",")) if args.verify else ()
+    require_known_checks(checks)
     p = Presentation.load(args.infile)
     ball = build_ball(p, args.radius, max_vertices=args.max_vertices)
-    checks = tuple(c.strip() for c in args.verify.split(",")) if args.verify else ()
-    rep = harness.geometry_scan(ball, checks) if checks else None
+    rep = geometry_scan(ball, checks) if checks else None
     out = {
         "vertices": ball.n_vertices,
         "radius": ball.radius,

@@ -333,10 +333,10 @@ def reduced_words_up_to(n: int, max_len: int) -> list[Word]:
 
 def _tuples_in_order(universe: list[Word], k: int, budget: int | None):
     """Assignments ordered by total length, then componentwise index."""
-    idx = list(range(len(universe)))
-    tuples = list(product(idx, repeat=k))
-    if budget is not None and len(tuples) > budget:
-        raise BudgetExceeded(len(tuples))
+    count = len(universe) ** k
+    if budget is not None and count > budget:
+        raise BudgetExceeded(count)
+    tuples = list(product(range(len(universe)), repeat=k))
     tuples.sort(key=lambda t: (sum(len(universe[i]) for i in t), t))
     for t in tuples:
         yield tuple(universe[i] for i in t)

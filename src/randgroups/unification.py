@@ -226,7 +226,7 @@ def _adjacent_merge(pieces: list[Piece], total: int, walls: set[int]) -> PieceAl
         runs.sort()
         return runs
 
-    def valid_pair(runs, index_of, p, q, pieces):
+    def valid_pair(runs, p, q):
         """All occurrences of p and q pair up as p(+)q(+) or q(-)p(-)."""
         if p == q:
             return False
@@ -267,7 +267,6 @@ def _adjacent_merge(pieces: list[Piece], total: int, walls: set[int]) -> PieceAl
 
     while True:
         runs = runs_of(pieces)
-        index_of = {r[0]: i for i, r in enumerate(runs)}
         merged = None
         seen_pairs = set()
         for i in range(len(runs) - 1):
@@ -284,7 +283,7 @@ def _adjacent_merge(pieces: list[Piece], total: int, walls: set[int]) -> PieceAl
             if cand in seen_pairs:
                 continue
             seen_pairs.add(cand)
-            if valid_pair(runs, index_of, cand[0], cand[1], pieces):
+            if valid_pair(runs, cand[0], cand[1]):
                 merged = cand
                 break
         if merged is None:

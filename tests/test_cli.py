@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from randgroups.cli import main
 from randgroups.words import Presentation, Word
 
@@ -37,6 +39,8 @@ def test_ball_command(tmp_path, capsys):
     assert data["vertices"] == 937
     assert data["violations"] == []
     assert "digon_count" in data and "max_divisor_len" in data
+    with pytest.raises(ValueError):
+        main(["ball", "--in", str(pres), "--radius", "4", "--verify", "bogus"])
 
 
 def test_sentence_command(tmp_path, capsys):

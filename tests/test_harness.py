@@ -6,9 +6,6 @@ from randgroups.harness import (
     Budget,
     ExperimentConfig,
     ResultRow,
-    run_cprime_experiment,
-    run_sentence_experiment,
-    run_geometry_experiment,
     run_experiment,
     emit,
     read_json_table,
@@ -17,7 +14,7 @@ from randgroups.harness import (
 )
 
 
-def small_cprime_cfg(workers=1):
+def small_cprime_cfg():
     return ExperimentConfig(
         kind="cprime",
         rank=2,
@@ -26,12 +23,11 @@ def small_cprime_cfg(workers=1):
         seed=7,
         trials=12,
         lam=Fraction(1, 8),
-        workers=workers,
     )
 
 
 def test_cprime_rows_shape():
-    rows = run_cprime_experiment(small_cprime_cfg())
+    rows = run_experiment(small_cprime_cfg())
     assert [r.ell for r in rows] == [20, 30]
     for r in rows:
         assert 0 <= r.success <= r.trials
@@ -39,14 +35,14 @@ def test_cprime_rows_shape():
         assert r.oracle is not None
 
 
-def test_determinism_across_worker_counts(tmp_path):
+def test_determinism_across_reruns(tmp_path):
     outputs = []
-    for workers in (1, 4, 8):
-        rows = run_cprime_experiment(small_cprime_cfg(workers))
-        path = tmp_path / f"out{workers}.csv"
+    for run in range(2):
+        rows = run_experiment(small_cprime_cfg())
+        path = tmp_path / f"out{run}.csv"
         emit(rows, "csv", path)
         outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_trial_prefix_monotonicity():
@@ -55,26 +51,28 @@ def test_trial_prefix_monotonicity():
         kind="cprime", rank=2, density=Fraction(0), length_list=(20, 30),
         seed=7, trials=6, lam=Fraction(1, 8),
     )
-    rows_full = run_cprime_experiment(base)
-    rows_half = run_cprime_experiment(fewer)
+    rows_full = run_experiment(base)
+    rows_half = run_experiment(fewer)
     for a, b in zip(rows_half, rows_full):
         assert a.success <= b.success  # per-trial seeds are a prefix
 
 
 def test_sentence_experiment_dichotomy_small():
+    # rank 3, l = 20: the C'(1/6) gate admits most samples (6 of these 8)
     cfg = ExperimentConfig(
         kind="sentence",
-        rank=2,
+        rank=3,
         density=Fraction(0),
-        length_list=(16,),
+        length_list=(20,),
         seed=306,
-        trials=4,
+        trials=8,
         sentence_text="x y ~x ~y = 1",
         ball=1,
     )
-    rows = run_sentence_experiment(cfg)
+    rows = run_experiment(cfg)
     [row] = rows
     # every C'(1/6)-verified trial refutes commutativity, matching the free group
+    assert row.success >= 1
     assert row.success + row.skips == row.trials
     assert row.failures == 0
 
@@ -83,30 +81,35 @@ def test_sentence_experiment_control_no_relators():
     # density model needs relators; use the free control through rank-2 samples
     cfg = ExperimentConfig(
         kind="sentence",
-        rank=2,
+        rank=3,
         density=Fraction(0),
-        length_list=(16,),
+        length_list=(20,),
         seed=306,
-        trials=2,
+        trials=8,
         sentence_text="x x = 1 -> x = 1",
         ball=2,
     )
-    [row] = run_sentence_experiment(cfg)
+    [row] = run_experiment(cfg)
+    # torsion-freeness is not refuted in the free group nor in the samples
+    assert row.success >= 1
     assert row.failures == 0
 
 
 def test_geometry_experiment_tiny():
+    # rank 3, l = 10: C'(1/8) admits one of these 30 samples, and at
+    # radius 5 >= l/2 its ball identifies vertices and holds digons
     cfg = ExperimentConfig(
         kind="geometry",
         rank=3,
         density=Fraction(0),
         length_list=(10,),
         seed=0,
-        trials=3,
-        ball=4,
+        trials=30,
+        ball=5,
         checks=("single-layer", "digons"),
     )
-    [row] = run_geometry_experiment(cfg)
+    [row] = run_experiment(cfg)
+    assert row.success >= 1
     assert row.success + row.skips + row.failures == row.trials
     assert row.failures == 0
 
@@ -114,7 +117,7 @@ def test_geometry_experiment_tiny():
 def test_geometry_scan_reports_violations_without_crashing():
     # a fabricated ball whose digon cells cannot bear the relator: the
     # scan must surface the violations through the report plumbing
-    from randgroups.harness import geometry_scan
+    from randgroups.cayley import geometry_scan
     from test_cayley import three_geodesic_ball
 
     ball = three_geodesic_ball(16)
@@ -122,6 +125,11 @@ def test_geometry_scan_reports_violations_without_crashing():
     assert rep.pairs_checked > 0
     assert rep.digon_count >= 2
     assert rep.violations  # invalid synthetic cells are flagged
+    # a misspelt check name must not scan nothing and pass
+    with pytest.raises(ValueError):
+        geometry_scan(ball, ("bogus",))
+    with pytest.raises(ValueError):
+        geometry_scan(ball, ("single-layr", "digons"))
 
 
 def test_emit_csv_header_and_empty(tmp_path):
@@ -131,7 +139,7 @@ def test_emit_csv_header_and_empty(tmp_path):
 
 
 def test_emit_json_round_trip(tmp_path):
-    rows = run_cprime_experiment(small_cprime_cfg())
+    rows = run_experiment(small_cprime_cfg())
     path = tmp_path / "rows.json"
     emit(rows, "json", path)
     back = read_json_table(path)
@@ -139,7 +147,7 @@ def test_emit_json_round_trip(tmp_path):
 
 
 def test_csv_numeric_fields(tmp_path):
-    rows = run_cprime_experiment(small_cprime_cfg())
+    rows = run_experiment(small_cprime_cfg())
     path = tmp_path / "rows.csv"
     emit(rows, "csv", path)
     lines = path.read_text().strip().splitlines()
@@ -173,8 +181,17 @@ budget.ball_vertices = 5000
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ValueError):
-        parse_config("experiment.kind = cprime\nbogus.key = 1\n")
+    # also bad values: 1/0 divides by zero, and a misspelt check name
+    # would check nothing and let every trial pass
+    for line in (
+        "bogus.key = 1",
+        "model.density = 1/0",
+        "experiment.lambda = 1/0",
+        "experiment.trials = many",
+        "experiment.checks = single-layr",
+    ):
+        with pytest.raises(ValueError):
+            parse_config(f"experiment.kind = cprime\n{line}\n")
 
 
 def test_run_experiment_dispatch():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from randgroups.sentences import (
     EquationalClause,
     SentenceSyntaxError,
     BudgetExceeded,
+    _tuples_in_order,
 )
 
 
@@ -179,6 +181,21 @@ def test_budget_exceeded():
     [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
     with pytest.raises(BudgetExceeded):
         refute_on_ball_free(c, 3, budget=10)
+
+
+def test_budget_checked_before_tuples_are_allocated():
+    # 53^3 = 148877 triples over the rank-2 words of length <= 3: over
+    # 10 MB if materialised; the budget must fire before any of them exist
+    universe = reduced_words_up_to(2, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            next(_tuples_in_order(universe, 3, budget=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.examined == len(universe) ** 3
+    assert peak < 1 << 20
 
 
 SC = sample_presentation(DensityParams(2, Fraction(0), 16, 306))  # C'(1/6) verified below
