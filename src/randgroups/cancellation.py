@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sampler import relator_count, DensityParams
-from .words import Word, Presentation, free_reduce, invert, rotate
+from .words import Word, Presentation, _raw, free_reduce, invert, rotate
 
 
 class Occurrence(NamedTuple):
@@ -204,23 +204,36 @@ def _dehn_step(w: Word, p: Presentation):
     """Leftmost, then longest subword u with |u| > l/2 extending to an
     element u*v; returns (position, element, |u|) or None."""
     half, index, _ = _dehn_index(p)
-    tw = tuple(w)
-    n = len(tw)
+    n = len(w)
     for i in range(n - half + 1):
-        candidates = index.get(tw[i : i + half])
+        candidates = index.get(w[i : i + half])
         if not candidates:
             continue
         best = None
         for el in candidates:
             k = half
             m = min(len(el), n - i)
-            while k < m and el[k] == tw[i + k]:
+            while k < m and el[k] == w[i + k]:
                 k += 1
             if best is None or k > best[1]:
                 best = (el, k)
         el, k = best
         return i, el, k
     return None
+
+
+def _dehn_walk(w: Word, p: Presentation):
+    """Dehn's algorithm on free_reduce(w), one replacement at a time: yields
+    (word, step) before each replacement, then (final word, None)."""
+    _require_sixth(p)
+    cur = free_reduce(w)
+    if p.relators:
+        origin = _dehn_index(p)[2]
+        while (hit := _dehn_step(cur, p)) is not None:
+            i, el, k = hit
+            yield cur, DehnStep(i, el, origin[el], k)
+            cur = free_reduce(_raw(cur[:i] + invert(el[k:]) + cur[i + k :]))
+    yield cur, None
 
 
 def dehn_reduce(w: Word, p: Presentation) -> tuple[Word, list[DehnStep]]:
@@ -230,19 +243,11 @@ def dehn_reduce(w: Word, p: Presentation) -> tuple[Word, list[DehnStep]]:
     for the leftmost, then longest, more-than-half subword of a
     symmetrized element.
     """
-    _require_sixth(p)
-    _, _, origin = _dehn_index(p) if p.relators else (0, {}, {})
-    cur = free_reduce(w)
     trace: list[DehnStep] = []
-    while p.relators:
-        hit = _dehn_step(cur, p)
-        if hit is None:
-            break
-        i, el, k = hit
-        v = Word(el[k:])
-        trace.append(DehnStep(i, el, origin[el], k))
-        cur = free_reduce(Word(cur[:i]).concat(invert(v)).concat(Word(cur[i + k :])))
-    return cur, trace
+    for cur, step in _dehn_walk(w, p):
+        if step is None:
+            return cur, trace
+        trace.append(step)
 
 
 def is_trivial(w: Word, p: Presentation) -> bool:

@@ -65,13 +65,8 @@ def _hnf(rows: list[list[int]]) -> list[list[int]]:
                 q = r[col] // p[col]
                 for i in range(n):
                     r[i] -= q * p[i]
-            pivots = [r for r in pivots if r[col] != 0] + [
-                r for r in pivots if r[col] == 0 and any(r)
-            ]
-            nonzero_col = [r for r in pivots if r[col] != 0]
-            zero_col = [r for r in pivots if r[col] == 0]
-            rest.extend(z for z in zero_col if any(z))
-            pivots = nonzero_col
+            rest.extend(r for r in pivots if r[col] == 0 and any(r))
+            pivots = [r for r in pivots if r[col] != 0]
         p = pivots[0]
         if p[col] < 0:
             p = [-x for x in p]
@@ -387,25 +382,15 @@ class Digon:
         return not self.violations
 
 
-def _short_paths(ball: CayleyBall, a: int, b: int, max_len: int) -> list[list[int]]:
-    """All shortest paths a -> b of length <= max_len (in-ball)."""
-    if max_len < 1:
-        return []
-    dist = ball.bfs_from(a, max_depth=max_len)
-    if dist[b] < 0:
-        return []
-    paths = []
-    stack = [[b]]
-    while stack:
-        partial = stack.pop()
-        x = partial[-1]
-        if x == a:
-            paths.append(list(reversed(partial)))
-            continue
-        for w in ball.adj[x]:
-            if w >= 0 and dist[w] == dist[x] - 1:
-                stack.append(partial + [int(w)])
-    return paths
+def _path_back(ball: CayleyBall, dist, b: int) -> list[int]:
+    """A shortest path to b from the source of the BFS distances dist,
+    found backwards from b, each time stepping to the last adjacent
+    vertex one step closer."""
+    path = [b]
+    while dist[path[-1]] > 0:
+        x = path[-1]
+        path.append(next(int(w) for w in reversed(ball.adj[x]) if w >= 0 and dist[w] == dist[x] - 1))
+    return path[::-1]
 
 
 def verify_digon(ball: CayleyBall, low: list[int], up: list[int]) -> Digon:
@@ -434,8 +419,7 @@ def verify_digon(ball: CayleyBall, low: list[int], up: list[int]) -> Digon:
             dist_a = ball.bfs_from(low[i], max_depth=divisor_max)
             for j in range(1, len(up) - 1):
                 if dist_a[up[j]] >= 1:
-                    paths = _short_paths(ball, low[i], up[j], divisor_max)
-                    pairs.append((i, j, paths[0]))
+                    pairs.append((i, j, _path_back(ball, dist_a, up[j])))
     # division pairs must be noncrossing and aligned in order
     pairs.sort()
     js = [j for _, j, _ in pairs]
@@ -689,14 +673,10 @@ def geometry_scan(ball: CayleyBall, checks=GEOMETRY_CHECKS) -> GeometryReport:
     """
     require_known_checks(checks)
     rep = GeometryReport()
-    R = ball.radius
     digons = []
     want_layers = "single-layer" in checks or "digons" in checks
     if want_layers:
         for v in range(1, ball.n_vertices):
-            d = int(ball.dist[v])
-            if 2 * d > 2 * R:
-                continue
             rep.pairs_checked += 1
             cfg = single_layer(ball, 0, v)
             rep.violations.extend(f"pair (0,{v}): {msg}" for msg in cfg.violations)
@@ -729,8 +709,6 @@ def _minimizer_scan(ball: CayleyBall):
     offsets = []
     targets = []
     for w in range(1, V):
-        if 2 * int(d1[w]) > 2 * R:
-            continue
         path = [0]
         v = 0
         for g in ball.words[w]:

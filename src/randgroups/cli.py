@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -130,12 +131,10 @@ def _cmd_sentence(args) -> int:
 
 def _log10_big(n: int) -> float:
     s = str(n)
-    return len(s) - 1 + __import__("math").log10(int(s[:15]) / 10 ** (min(len(s), 15) - 1))
+    return len(s) - 1 + math.log10(int(s[:15]) / 10 ** (min(len(s), 15) - 1))
 
 
 def _cmd_bounds(args) -> int:
-    import math
-
     params = BoundsParams(
         K=args.K,
         r=args.r,
@@ -241,7 +240,6 @@ def main(argv=None) -> int:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--sentence", required=True)
     s.add_argument("--ball", type=int, default=2)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(fn=_cmd_sentence)
 
     s = sub.add_parser("bounds", help="face and diagram-count bounds")
@@ -258,7 +256,6 @@ def main(argv=None) -> int:
     s.add_argument("--system", required=True)
     s.add_argument("--lengths", required=True)
     s.add_argument("--boundary", default=None)
-    s.add_argument("--json", action="store_true")
     s.add_argument("--n-rel", type=int, default=None)
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--d", default=None)
@@ -272,7 +269,10 @@ def main(argv=None) -> int:
     s.set_defaults(fn=_cmd_mc)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:
+        ap.error(str(e))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,22 @@ boundary are explicit dart cycles.  Planarity is certified by genus
 computation: the vertex rotation derived from the face cycles must give
 one orbit per vertex and V - E + F = 2 counting the outer face.
 
+A trivial word's diagram is read off its Dehn run.  A step that rewrites
+A u B to A v^-1 B with r = u v splits off the conjugate A r A^-1, so the
+input is freely equal to the product of these conjugates, one per step.
+Each conjugate becomes a lollipop at the base vertex: a stem reading A
+and a loop reading r, bounding the face.  The bouquet's boundary word is
+that product; it is folded to the reduced input in one left-to-right
+pass over the boundary darts with a stack, so adjacent darts with
+inverse labels cancel leftmost pair first.  A dart followed by its own
+reverse is a spur and its edge is dropped.  Otherwise the second dart is
+folded onto the reverse of the first: a dart map records it, a
+union-find joins its head to the first dart's tail (whose class keeps
+its name), and its edge is dropped.  Darts are resolved through the map
+as they are read and once at the end for the boundary and the faces;
+vertices are renamed through the union-find once, then numbered in
+increasing order.
+
 Counting operations (Stirling numbers, the planar-graph bound, the
 abstract-diagram count and its total over admissible face counts) are
 exact big-integer arithmetic throughout.
@@ -20,7 +36,31 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .words import Word, Presentation, free_reduce, invert
-from .cancellation import symmetrize, dehn_reduce
+from .cancellation import _dehn_walk, symmetrize
+
+
+def _tail(edges, d: int) -> int:
+    t, h, _ = edges[abs(d)]
+    return t if d > 0 else h
+
+
+def _head(edges, d: int) -> int:
+    t, h, _ = edges[abs(d)]
+    return h if d > 0 else t
+
+
+def _label(edges, d: int) -> int:
+    _, _, x = edges[abs(d)]
+    return x if d > 0 else -x
+
+
+def _find(parent: dict, x):
+    """Root of x in a union-find forest kept as a dict (absent keys are
+    roots), halving the path on the way."""
+    while (y := parent.get(x, x)) != x:
+        parent[x] = parent.get(y, y)
+        x = parent[x]
+    return x
 
 
 @dataclass
@@ -54,16 +94,13 @@ class VanKampenDiagram:
     # -- dart helpers ------------------------------------------------------
 
     def tail(self, d: int) -> int:
-        t, h, _ = self.edges[abs(d)]
-        return t if d > 0 else h
+        return _tail(self.edges, d)
 
     def head(self, d: int) -> int:
-        t, h, _ = self.edges[abs(d)]
-        return h if d > 0 else t
+        return _head(self.edges, d)
 
     def label(self, d: int) -> int:
-        _, _, x = self.edges[abs(d)]
-        return x if d > 0 else -x
+        return _label(self.edges, d)
 
     def cycle_word(self, cycle) -> Word:
         return Word(self.label(d) for d in cycle)
@@ -98,16 +135,47 @@ class VanKampenDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "VanKampenDiagram":
+        """Parse to_json() output; "outer" and "numbering" are optional.
+        Raises ValueError naming the first malformed field."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("diagram JSON must be an object")
+        vertices = _json_int(data.get("vertices"), "vertices")
+        raw_edges = data.get("edges")
+        if not isinstance(raw_edges, list) or not all(isinstance(e, dict) for e in raw_edges):
+            raise ValueError("diagram JSON field 'edges' must be a list of objects")
         edges = {
-            i + 1: (e["from"], e["to"], e["label"]) for i, e in enumerate(data["edges"])
+            i + 1: tuple(_json_int(e.get(k), f"edges[{i}].{k}") for k in ("from", "to", "label"))
+            for i, e in enumerate(raw_edges)
         }
-        faces = data["faces"]
+        faces = _json_ints(data.get("faces"), "faces", depth=2)
+        base = _json_int(data.get("base"), "base")
         if "outer" in data:
-            outer = data["outer"]
+            outer = _json_ints(data["outer"], "outer")
         else:
-            outer = _complete_outer(edges, faces, data["base"])
-        return cls(data["vertices"], edges, faces, outer, data["base"], data.get("numbering"))
+            outer = _complete_outer(edges, faces, base)
+        numbering = data.get("numbering")
+        if numbering is not None:
+            _json_ints(numbering, "numbering")
+        return cls(vertices, edges, faces, outer, base, numbering)
+
+
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"diagram JSON field {name!r} must be an integer")
+    return value
+
+
+def _json_ints(value, name: str, depth: int = 1) -> list:
+    """value as a list of integers (depth 1) or of such lists (depth 2)."""
+    if not isinstance(value, list):
+        raise ValueError(f"diagram JSON field {name!r} must be a list")
+    for i, x in enumerate(value):
+        if depth > 1:
+            _json_ints(x, f"{name}[{i}]", depth - 1)
+        else:
+            _json_int(x, f"{name}[{i}]")
+    return value
 
 
 def _complete_outer(edges, faces, base=None):
@@ -126,19 +194,11 @@ def _complete_outer(edges, faces, base=None):
     if not boundary:
         return []
 
-    def head(d):
-        t, h, _ = edges[abs(d)]
-        return h if d > 0 else t
-
-    def tail(d):
-        t, h, _ = edges[abs(d)]
-        return t if d > 0 else h
-
     starts_at = {}
     ends_at = {}
     for b in boundary:
-        starts_at.setdefault(tail(b), []).append(b)
-        ends_at.setdefault(head(b), []).append(b)
+        starts_at.setdefault(_tail(edges, b), []).append(b)
+        ends_at.setdefault(_head(edges, b), []).append(b)
     succ = {}
     for v, ins in ends_at.items():
         outs = starts_at.get(v, [])
@@ -171,10 +231,10 @@ def _complete_outer(edges, faces, base=None):
         merged = False
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                vi = {head(b): b for b in cycles[i]}
-                match = next((b for b in cycles[j] if head(b) in vi), None)
+                vi = {_head(edges, b): b for b in cycles[i]}
+                match = next((b for b in cycles[j] if _head(edges, b) in vi), None)
                 if match is not None:
-                    a = vi[head(match)]
+                    a = vi[_head(edges, match)]
                     succ[a], succ[match] = succ[match], succ[a]
                     merged = True
                     break
@@ -186,7 +246,7 @@ def _complete_outer(edges, faces, base=None):
     cycle = cycles[0]
     if base is not None:
         for i, d in enumerate(cycle):
-            if tail(d) == base:
+            if _tail(edges, d) == base:
                 return cycle[i:] + cycle[:i]
     return cycle
 
@@ -350,24 +410,12 @@ def filament_decomposition(D: VanKampenDiagram) -> FilamentDecomposition:
     """Split into maximal non-filamentous subcomplexes and bridge paths."""
     face_edges = {abs(d) for f in D.faces for d in f}
     parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for e in face_edges:
         t, h, _ = D.edges[e]
-        union(t, h)
+        parent[_find(parent, t)] = _find(parent, h)
     comp_of_face = {}
     for fi, f in enumerate(D.faces):
-        comp_of_face[fi] = find(D.tail(f[0]))
+        comp_of_face[fi] = _find(parent, D.tail(f[0]))
     groups = {}
     for fi, root in comp_of_face.items():
         groups.setdefault(root, []).append(fi)
@@ -384,13 +432,6 @@ def filament_decomposition(D: VanKampenDiagram) -> FilamentDecomposition:
 
     bridge_edges = [e for e in D.edges if e not in face_edges]
     bparent = {}
-
-    def bfind(x):
-        while bparent.setdefault(x, x) != x:
-            bparent[x] = bparent[bparent[x]]
-            x = bparent[x]
-        return x
-
     # bridges connect through vertices not interior to components
     comp_vertex = {}
     for ci, comp in enumerate(components):
@@ -399,15 +440,11 @@ def filament_decomposition(D: VanKampenDiagram) -> FilamentDecomposition:
     for e in bridge_edges:
         t, h, _ = D.edges[e]
         for v in (t, h):
-            bparent.setdefault(("e", e), ("e", e))
             if v not in comp_vertex:
-                bparent.setdefault(("v", v), ("v", v))
-                ra, rb = bfind(("e", e)), bfind(("v", v))
-                if ra != rb:
-                    bparent[ra] = rb
+                bparent[_find(bparent, ("e", e))] = _find(bparent, ("v", v))
     bgroups = {}
     for e in bridge_edges:
-        bgroups.setdefault(bfind(("e", e)), []).append(e)
+        bgroups.setdefault(_find(bparent, ("e", e)), []).append(e)
     bridges = [
         {"edges": sorted(es), "length": len(es)} for _, es in sorted(bgroups.items())
     ]
@@ -441,60 +478,36 @@ def diagram_from_dehn_trace(w: Word, p: Presentation) -> VanKampenDiagram:
     reduced input.  Raises NotTrivialError when w is not trivial.
     """
     w0 = free_reduce(Word(w))
-    final, trace = dehn_reduce(w0, p)
-    if len(final) != 0:
-        raise NotTrivialError(f"{w0.text()!r} is not trivial in the presentation")
-
-    # conjugator prefix A_t per step, replayed on the reduced words
+    # per step: conjugator prefix A, symmetrized element, relator index
     factors = []
-    cur = w0
-    for step in trace:
-        A = Word(cur[: step.position])
-        factors.append((A, step.element, step.origin[0]))
-        v = Word(step.element[step.removed :])
-        cur = free_reduce(
-            Word(cur[: step.position]).concat(invert(v)).concat(Word(cur[step.position + step.removed :]))
-        )
-
-    if not factors:
-        # w freely trivial: single-vertex diagram
-        return VanKampenDiagram(1, {}, [], [], 0, [])
-    return _build_cactus_and_fold(w0, factors)
+    for cur, step in _dehn_walk(w0, p):
+        if step is not None:
+            factors.append((cur[: step.position], step.element, step.origin[0]))
+    if len(cur) != 0:
+        raise NotTrivialError(f"{w0.text()!r} is not trivial in the presentation")
+    return _build_cactus_and_fold(factors)
 
 
-def _build_cactus_and_fold(w0: Word, factors) -> VanKampenDiagram:
-    edges = {}
-    next_edge = [1]
-    next_vertex = [1]
+def _add_path(edges, vertices, word) -> list[int]:
+    """New edges vertices[i] -> vertices[i+1] labelled word[i]; their ids."""
+    ids = range(len(edges) + 1, len(edges) + 1 + len(word))
+    edges.update(zip(ids, zip(vertices, vertices[1:], word)))
+    return list(ids)
 
-    def new_edge(t, h, x):
-        e = next_edge[0]
-        next_edge[0] += 1
-        edges[e] = (t, h, x)
-        return e
 
-    def new_vertex():
-        v = next_vertex[0]
-        next_vertex[0] += 1
-        return v
-
-    outer = []
-    faces = []
-    numbering = []
+def _build_cactus_and_fold(factors) -> VanKampenDiagram:
+    """The bouquet of (prefix, element, relator) lollipops, folded."""
+    edges: dict[int, tuple[int, int, int]] = {}
+    outer, faces, numbering = [], [], []
+    fresh = 1  # next unused vertex; 0 is the base
     for A, el, rel_index in factors:
-        stem = []
-        v = 0
-        for x in A:
-            u = new_vertex()
-            stem.append(new_edge(v, u, x))
-            v = u
-        top = v
-        loop = []
-        prev = top
-        for i, x in enumerate(el):
-            nxt = top if i == len(el) - 1 else new_vertex()
-            loop.append(new_edge(prev, nxt, x))
-            prev = nxt
+        stem_vs = [0, *range(fresh, fresh + len(A))]
+        fresh += len(A)
+        top = stem_vs[-1]
+        loop_vs = [top, *range(fresh, fresh + len(el) - 1), top]
+        fresh += len(el) - 1
+        stem = _add_path(edges, stem_vs, A)
+        loop = _add_path(edges, loop_vs, el)
         outer.extend(stem)
         outer.extend(loop)
         outer.extend(-e for e in reversed(stem))
@@ -503,60 +516,33 @@ def _build_cactus_and_fold(w0: Word, factors) -> VanKampenDiagram:
         faces.append([-e for e in reversed(loop)])
         numbering.append(rel_index)
 
-    # fold: cancel adjacent boundary darts with inverse labels
-    def label(d):
-        _, _, x = edges[abs(d)]
-        return x if d > 0 else -x
+    # fold: cancel adjacent boundary darts with inverse labels, leftmost first
+    darts: dict[int, int] = {}  # folded dart -> the dart it now is
+    verts: dict[int, int] = {}  # folded vertex -> the vertex it joined
+    stack: list[int] = []
+    for d in outer:
+        d = _find(darts, d)
+        top = _find(darts, stack[-1]) if stack else None
+        if top is None or _label(edges, d) != -_label(edges, top):
+            stack.append(d)
+            continue
+        stack.pop()
+        if d != -top:
+            # a fold, not a spur: d becomes the reverse of top
+            darts[d], darts[-d] = -top, top
+            verts[_find(verts, _head(edges, d))] = _find(verts, _tail(edges, top))
+        del edges[abs(d)]
 
-    def tail(d):
-        t, h, _ = edges[abs(d)]
-        return t if d > 0 else h
-
-    def head(d):
-        t, h, _ = edges[abs(d)]
-        return h if d > 0 else t
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(outer) - 1):
-            d, d2 = outer[i], outer[i + 1]
-            if label(d2) != -label(d):
-                continue
-            changed = True
-            if d2 == -d:
-                # spur: drop the leaf edge
-                del outer[i : i + 2]
-                del edges[abs(d)]
-            else:
-                x, z = tail(d), head(d2)
-                # identify edge of d2 with the reverse of edge of d
-                sub = {d2: -d, -d2: d}
-                del outer[i : i + 2]
-                outer[:] = [sub.get(t_, t_) for t_ in outer]
-                for f in faces:
-                    f[:] = [sub.get(t_, t_) for t_ in f]
-                del edges[abs(d2)]
-                if z != x:
-                    for e, (t, h, lab) in list(edges.items()):
-                        edges[e] = (x if t == z else t, x if h == z else h, lab)
-            break
-
-    # compact vertex ids
-    used = set()
-    for e, (t, h, _) in edges.items():
-        used.add(t)
-        used.add(h)
     if not edges:
         return VanKampenDiagram(1, {}, [], [], 0, [])
-    remap = {v: i for i, v in enumerate(sorted(used))}
+    outer = [_find(darts, d) for d in stack]
+    faces = [[_find(darts, d) for d in f] for f in faces]
+    edges = {e: (_find(verts, t), _find(verts, h), x) for e, (t, h, x) in edges.items()}
+    # compact vertex ids
+    used = sorted({v for t, h, _ in edges.values() for v in (t, h)})
+    remap = {v: i for i, v in enumerate(used)}
     edges = {e: (remap[t], remap[h], x) for e, (t, h, x) in edges.items()}
-    base = None
-    if outer:
-        t, h, _ = edges[abs(outer[0])]
-        base = t if outer[0] > 0 else h
-    else:
-        base = 0
+    base = _tail(edges, outer[0]) if outer else 0
     return VanKampenDiagram(len(used), edges, faces, outer, base, numbering)
 
 

@@ -223,13 +223,21 @@ def test_criterion_03_sampler_uniformity():
 # -- 4. C'(1/8) trend -----------------------------------------------------------
 
 
-def test_criterion_04_cprime_trend():
+# sha256 of the criterion's CSV as first recorded (15/500, 484/500 and
+# 500/500 successes): strictly between 0 and 1 at l = 40 and 80, so a
+# sampler that ignored the seed or the trial would change it.
+CRITERION_04_SHA256 = "dd28658859522f6f2e209dd77b866082feb2239c3457775ee5394c3f9e78ec30"
+
+
+def test_criterion_04_cprime_trend(tmp_path):
     t0 = time.monotonic()
     cfg = ExperimentConfig(
         kind="cprime", rank=2, density=Fraction(0), length_list=(40, 80, 160),
         seed=2026, trials=500, lam=Fraction(1, 8),
     )
     rows = run_experiment(cfg)
+    emit(rows, "csv", tmp_path / "rows.csv")
+    digest = hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()
     bound_ok = True
     for r in rows:
         failure = 1 - r.fraction
@@ -240,9 +248,11 @@ def test_criterion_04_cprime_trend():
         rows[0].fraction > 0.99 and rows[2].fraction > 0.99
     )
     elapsed = time.monotonic() - t0
-    ok = bound_ok and trend_ok and elapsed < 600
+    pinned = digest == CRITERION_04_SHA256
+    ok = bound_ok and trend_ok and pinned and elapsed < 600
     fr = ", ".join(f"l={r.ell}:{r.fraction:.3f}" for r in rows)
-    assert report(4, ok, f"success fractions {fr}; bound ok={bound_ok}; {elapsed:.1f}s")
+    assert report(4, ok, f"success fractions {fr}; bound ok={bound_ok}; "
+                         f"sha256 {digest[:12]} pinned: {pinned}; {elapsed:.1f}s")
 
 
 # -- 5. geometry suite ----------------------------------------------------------

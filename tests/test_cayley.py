@@ -17,6 +17,7 @@ from randgroups.cayley import (
     BallBudgetExceeded,
     ReliabilityError,
     Digon,
+    _path_back,
 )
 from oracles import brute_all_paths
 
@@ -81,6 +82,18 @@ def test_free_group_unique_geodesics():
             paths = all_geodesics(ball, 0, v)
             assert len(paths) == 1
             assert len(paths[0]) == ball.dist[v] + 1
+
+
+def test_path_back_is_a_geodesic_from_the_bfs_source():
+    p = sample_presentation(DensityParams(3, Fraction(0), 10, 53))
+    ball = build_ball(p, 5)
+    adj = [[int(x) for x in row] for row in ball.adj]
+    for a in (0, 7, 100):
+        dist = ball.bfs_from(a, max_depth=3)
+        targets = [v for v in range(ball.n_vertices) if dist[v] >= 0][:40]
+        for v in targets:
+            expected = brute_all_paths(adj, [int(d) for d in dist], a, v)
+            assert _path_back(ball, dist, v) in expected
 
 
 def test_geodesics_self_pair():
@@ -263,7 +276,7 @@ def test_synthetic_divisor_digon_verifies():
     d = verify_digon(ball, low, up)
     assert d.ok, d.violations
     assert len(d.division_pairs) == 1
-    assert d.division_pairs[0][:2] == (4, 4)
+    assert d.division_pairs[0] == (4, 4, [4, 12])
     assert len(d.cells) == 2
     assert all(c.low_arc == 4 and c.up_arc == 4 for c in d.cells)
     rep = digon_side_uniqueness(ball, [d])

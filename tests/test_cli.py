@@ -39,8 +39,10 @@ def test_ball_command(tmp_path, capsys):
     assert data["vertices"] == 937
     assert data["violations"] == []
     assert "digon_count" in data and "max_divisor_len" in data
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["ball", "--in", str(pres), "--radius", "4", "--verify", "bogus"])
+    assert exc.value.code == 2
+    assert "error: unknown geometry checks ['bogus']" in capsys.readouterr().err
 
 
 def test_sentence_command(tmp_path, capsys):
@@ -50,7 +52,7 @@ def test_sentence_command(tmp_path, capsys):
     sent = tmp_path / "comm.sent"
     sent.write_text("x y ~x ~y = 1\n")
     assert main(["sentence", "--in", str(pres), "--sentence", str(sent),
-                 "--ball", "1", "--json"]) == 0
+                 "--ball", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
     [clause] = data["clauses"]
     assert clause["free_witness"] is not None
@@ -74,7 +76,7 @@ def test_unify_command(tmp_path, capsys):
     boundary = tmp_path / "bound.txt"
     boundary.write_text("0 4\n")
     assert main(["unify", "--system", str(system), "--lengths", str(lengths),
-                 "--boundary", str(boundary), "--json",
+                 "--boundary", str(boundary),
                  "--n-rel", "1", "--ell", "16", "--d", "1/4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["decoration_status"] == "decoration"
@@ -94,3 +96,14 @@ def test_mc_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("ell,")
     assert len(lines) == 2
+
+
+def test_mc_command_reports_bad_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model.rank = 2\nmodel.density = 1/0\nmodel.length_list = 20\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "randgroups: error: line 2: bad value '1/0'" in err
+    assert "Traceback" not in err

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randgroups.words import Word, Presentation, free_reduce, invert, rotate
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word, stream
-from randgroups.cancellation import satisfies_cprime, is_trivial, symmetrize
+from randgroups.cancellation import satisfies_cprime, is_trivial, symmetrize, dehn_reduce
 from randgroups.diagrams import (
     VanKampenDiagram,
     verify_diagram,
@@ -261,6 +265,40 @@ def test_dehn_trace_pipeline_random_trivial_words():
         assert boundary_word(D) == w
 
 
+def _conjugate_product(p: Presentation, K: int, rng) -> Word:
+    """Free reduction of a product of K conjugates g r^(+-1) g^-1, with g a
+    random reduced word of length 0..l/2."""
+    w = Word()
+    for _ in range(K):
+        m = int(rng.integers(0, p.length // 2 + 1))
+        g = sample_reduced_word(p.rank, m, rng) if m else Word()
+        r = p.relators[0] if rng.integers(2) else invert(p.relators[0])
+        w = w.concat(g).concat(r).concat(invert(g))
+    return free_reduce(w)
+
+
+# sha256 over to_json() and repr(dehn_reduce(...)) of every word below
+DIAGRAM_PIN = "2a7c94efd77246d3d9f75a552a9c8c52e4957a92339210bf1b733fdfd0d428b0"
+
+
+def test_dehn_trace_diagram_output_is_pinned():
+    """Edge ids, vertex numbers, face and boundary darts, numbering and the
+    Dehn trace, byte for byte, on products of 20, 80 and 320 conjugates."""
+    h = hashlib.sha256()
+    # seeds 306 and 0 give the first C'(1/6) rank-2 presentations at l = 16, 24
+    for l, seed in ((16, 306), (24, 0)):
+        p = sample_presentation(DensityParams(2, Fraction(0), l, seed))
+        for K, copies in ((20, 3), (80, 3), (320, int(l == 16))):
+            for i in range(copies):
+                w = _conjugate_product(p, K, stream(7, l, K, i))
+                D = diagram_from_dehn_trace(w, p)
+                assert verify_diagram(D, p).ok
+                assert boundary_word(D) == w
+                h.update(D.to_json().encode())
+                h.update(repr(dehn_reduce(w, p)).encode())
+    assert h.hexdigest() == DIAGRAM_PIN
+
+
 def test_diagram_json_round_trip():
     D = single_face_diagram(W("abAB"))
     D2 = VanKampenDiagram.from_json(D.to_json())
@@ -277,6 +315,54 @@ def test_diagram_json_without_outer():
     D2 = VanKampenDiagram.from_json(_json.dumps(data))
     rep = verify_diagram(D2, COMM)
     assert rep.ok, rep.problems
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"vertices": 1}, "edges"),
+        ([1, 2], "object"),
+        ({"vertices": 2, "edges": [{"from": 0, "to": 1}], "faces": [], "base": 0}, "edges[0].label"),
+        ({"vertices": 2, "edges": [], "faces": [[1, "a"]], "base": 0}, "faces[0][1]"),
+        ({"vertices": True, "edges": [], "faces": [], "base": 0}, "vertices"),
+        ({"vertices": 1, "edges": [], "faces": [], "base": 0, "numbering": {}}, "numbering"),
+    ],
+)
+def test_diagram_json_names_the_malformed_field(data, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        VanKampenDiagram.from_json(json.dumps(data))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_darts = st.lists(st.integers(-4, 4), max_size=5)
+_edge_json = st.fixed_dictionaries(
+    {}, optional={k: st.integers(-1, 4) | _json_values for k in ("from", "to", "label")}
+)
+_diagram_json = st.fixed_dictionaries(
+    {},
+    optional={
+        "vertices": st.integers(0, 5) | _json_values,
+        "edges": st.lists(_edge_json, max_size=5) | _json_values,
+        "faces": st.lists(_darts, max_size=3) | _json_values,
+        "base": st.integers(0, 5) | _json_values,
+        "numbering": _darts | _json_values,
+        "outer": _darts | _json_values,
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values | _diagram_json)
+def test_diagram_json_rejects_malformed_input_with_value_error(data):
+    """Arbitrary JSON either parses or raises a ValueError subclass."""
+    try:
+        VanKampenDiagram.from_json(json.dumps(data))
+    except ValueError:
+        pass
 
 
 # -- counting ---------------------------------------------------------------
