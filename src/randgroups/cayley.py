@@ -2,28 +2,40 @@
 geodesic structure checks: digon rigidity, single-layer coverage, and
 distance-minimizer rigidity.
 
-Ball construction is a breadth-first search in which a freshly generated
-word joins an existing vertex only when Dehn's algorithm certifies
-equality; candidate vertices are pre-filtered by their class in the
-abelianization modulo the relator lattice and by free-group distinctness
-(a nontrivial word shorter than the relator length is nontrivial in any
-C'(1/6) group, since the smallest diagram boundary is one face).
+Ball construction is a breadth-first search over canonical words (the
+lexicographically least geodesics).  A new word w = words[u]*g, u at
+distance k, joins an existing vertex v only when w = v is certified, by
+one of two rules.  Inside the short window |w| + k + 1 < 2l - 2*maxpiece
+a nonempty trivial word is a conjugate of a symmetrized element r (a
+diagram with two or more faces has a longer boundary).  Write w = c*x
+and v = c*y with c their longest common prefix: unless w is already a
+vertex word, x and y also end differently, so x*y^-1 is the cyclically
+reduced core of w*v^-1 and must be r itself.  So the vertex equal to w
+is looked up, not searched for: for each suffix x of w that is a prefix
+of an element r = x*y^-1, the candidate is the vertex c*y.  A hit is
+equal to w, since w*v^-1 is conjugate to r, and inside the window a miss
+proves w new.  Outside the window a miss is followed by a class scan: each vertex
+at distance k-1..k+1 in w's class in the abelianization modulo the
+relator lattice is tested with Dehn's algorithm, complete under C'(1/6).
 
 Geometric claims are asserted only for reliable pairs, under the
 containment criterion d(1,u) + d(1,v) + d(u,v) <= 2R: every true
 geodesic between u and v then lies inside the ball, so in-ball
 enumeration is exact and complete for the group.  geometry_scan runs the
-checks over every reliable pair and triple of a ball.
+checks over every reliable pair and triple of a ball; the minimizer scan
+finds the reliable pairs with one breadth-first search from many sources
+at once, pruned so that it reaches exactly those pairs (_reliable_pairs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .words import Word, Presentation, free_reduce, invert, cyclic_reduce
+from .words import Word, Presentation, _raw, free_reduce, invert, cyclic_reduce
 from .cancellation import is_trivial, symmetrize, max_piece_length, _require_sixth
 
 
@@ -194,8 +206,8 @@ def _letter_order(n: int) -> list[int]:
 
 def _append_reduce(w: Word, g: int) -> Word:
     if w and w[-1] == -g:
-        return Word(w[:-1])
-    return Word(w + (g,))
+        return _raw(w[:-1])
+    return _raw(w + (g,))
 
 
 def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBall:
@@ -209,9 +221,13 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         raise ValueError("radius must be >= 1")
     n = p.rank
     l = p.length
-    letters = _letter_order(n)
     reducer = _AbelianReducer(p)
     sym = set(symmetrize(p).elements)
+    # each prefix x, l/2 <= |x| <= l/2 + 1, of a symmetrized element
+    # r = x*y^-1, with its completion y; under C'(1/6) such an x is longer
+    # than any piece, so it starts one element only
+    sizes = range((l + 1) // 2, l // 2 + 2)
+    completion = {r[:j]: invert(r[j:]) for r in sym for j in sizes}
     # Short trivial words are conjugates of relators: a reduced diagram
     # with two faces has boundary longer than 2l - 2*maxpiece (and
     # bridged or larger diagrams longer still), so below that threshold
@@ -219,7 +235,9 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
     if p.relators:
         short_window = 2 * l - 2 * max_piece_length(p).max_piece_length
     else:
-        short_window = 0
+        short_window = math.inf
+    # Abelian classes serve only the certification outside the window.
+    classes = 2 * R + 1 >= short_window
 
     words: list[Word] = [Word()]
     index: dict[Word, int] = {Word(): 0}
@@ -244,55 +262,59 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
             return core in sym
         return is_trivial(diff, p)
 
+    def find(w: Word, u: int, g: int, k: int) -> int | None:
+        """The vertex equal to w = words[u]*g, u at distance k, if any."""
+        v = index.get(w)
+        if v is not None:
+            return v
+        # Otherwise |w| = k + 1, and a vertex equal to w has a canonical
+        # word c*y, where w = c*x, |y| <= |x| and x*y^-1 is cyclically
+        # reduced; inside the window x*y^-1 is then symmetrized (see the
+        # module docstring), and |x| <= l/2 + 1 because x less its last
+        # letter is part of the geodesic words[u].
+        for j in sizes:
+            if j > k + 1:
+                break
+            y = completion.get(w[k + 1 - j :])
+            if y is not None:
+                v = index.get(w[: k + 1 - j] + y)
+                if v is not None:
+                    return v
+        if k + 1 + min(k + 1, R) < short_window:
+            return None
+        for cand in by_class.get(candidate_vec(u, g), ()):
+            if dist[cand] >= k - 1 and certified_equal(w, cand):
+                return cand
+        return None
+
+    moves = [(g, _column(g), _column(-g)) for g in _letter_order(n)]
     layers: list[list[int]] = [[0]]
-    for k in range(R):
-        layer = layers[k]
+    for k in range(R + 1):
         nxt: list[int] = []
-        for u in layer:
-            for g in letters:
-                c = _column(g)
+        for u in layers[k]:
+            for g, c, back in moves:
                 if adj[u][c] >= 0:
                     continue
                 w = _append_reduce(words[u], g)
-                v = index.get(w)
+                v = find(w, u, g, k)
                 if v is None:
-                    key = candidate_vec(u, g)
-                    for cand in by_class.get(key, ()):
-                        if abs(dist[cand] - k) <= 1 and certified_equal(w, cand):
-                            v = cand
-                            break
-                    if v is None:
-                        if len(words) >= max_vertices:
-                            raise BallBudgetExceeded(len(words), k)
-                        v = len(words)
-                        words.append(w)
-                        index[w] = v
-                        dist.append(k + 1)
+                    if k == R:  # the outermost layer gets edges, no vertices
+                        continue
+                    if len(words) >= max_vertices:
+                        raise BallBudgetExceeded(len(words), k)
+                    v = len(words)
+                    words.append(w)
+                    index[w] = v
+                    dist.append(k + 1)
+                    if classes:
+                        key = candidate_vec(u, g)
                         vecs.append(key)
                         by_class.setdefault(key, []).append(v)
-                        adj.append([-1] * (2 * n))
-                        nxt.append(v)
+                    adj.append([-1] * (2 * n))
+                    nxt.append(v)
                 adj[u][c] = v
-                adj[v][_column(-g)] = u
+                adj[v][back] = u
         layers.append(nxt)
-
-    # edges among the outermost layer (no new vertices)
-    for u in layers[R]:
-        for g in letters:
-            c = _column(g)
-            if adj[u][c] >= 0:
-                continue
-            w = _append_reduce(words[u], g)
-            v = index.get(w)
-            if v is None:
-                key = candidate_vec(u, g)
-                for cand in by_class.get(key, ()):
-                    if dist[cand] >= R - 1 and certified_equal(w, cand):
-                        v = cand
-                        break
-            if v is not None:
-                adj[u][c] = v
-                adj[v][_column(-g)] = u
 
     return CayleyBall(
         p,
@@ -589,22 +611,6 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
     return cfg
 
 
-def distance_minimizers(ball: CayleyBall, base: list[int], c: int) -> list[int]:
-    """Vertices of a geodesic minimizing the distance to c.
-
-    Every (vertex, c) pair involved must be reliable; the structure
-    results say the answer has at most two elements.
-    """
-    dist_c = ball.bfs_from(c)
-    R = ball.radius
-    for x in base:
-        dxc = int(dist_c[x])
-        if dxc < 0 or int(ball.dist[x]) + int(ball.dist[c]) + dxc > 2 * R:
-            raise ReliabilityError(f"pair ({x}, {c}) is not reliable at radius {R}")
-    best = min(int(dist_c[x]) for x in base)
-    return [x for x in base if int(dist_c[x]) == best]
-
-
 @dataclass
 class UniquenessReport:
     groups: int
@@ -697,47 +703,98 @@ def geometry_scan(ball: CayleyBall, checks=GEOMETRY_CHECKS) -> GeometryReport:
     return rep
 
 
+# pairs per block of sources in _minimizer_scan: bounds its working memory
+_PAIR_BUDGET = 1 << 18
+
+
 def _minimizer_scan(ball: CayleyBall):
     """Count argmin points of d(., c) over every based geodesic, for every
-    c, skipping triples with an unreliable pair.  Exhaustive up to
-    translation."""
+    c, on the triples whose pairs are all reliable.  Exhaustive up to
+    translation.
+
+    The based geodesic of (0, w) is the path of the canonical word of w;
+    the pair (c, w) is reliable exactly when every (c, x) with x on that
+    path is, since d(1, x) + d(c, x) <= d(1, w) + d(c, w).  So the triples
+    checked are the reliable pairs (c, w), w != 1, which _reliable_pairs
+    finds with their distances, and the minimizers over a path are folded
+    in from those over the path to the parent of w.  Sources run in
+    blocks sized from the pairs per source of the block before, so that a
+    block holds about _PAIR_BUDGET pairs.
+    """
     V = ball.n_vertices
     R = ball.radius
-    d1 = ball.dist.astype(np.int64)
-    # base geodesic of (0, w) = the canonical word path, for reliable w
-    base_flat = []
-    offsets = []
-    targets = []
-    for w in range(1, V):
-        path = [0]
-        v = 0
-        for g in ball.words[w]:
-            v = ball.neighbor(v, g)
-            path.append(v)
-        offsets.append(len(base_flat))
-        base_flat.extend(path)
-        targets.append(w)
-    if not targets:
-        return 0, []
-    base_flat = np.array(base_flat, dtype=np.int64)
-    offsets = np.array(offsets, dtype=np.int64)
-    sizes = np.diff(np.append(offsets, len(base_flat)))
-
-    violations = []
+    d1 = ball.dist
+    # the path of words[w] is the path of words[parent[w]] followed by w
+    last = np.array([w[-1] if w else 1 for w in ball.words])
+    parent = ball.adj[np.arange(V), (np.abs(last) - 1) * 2 + (last > 0)]
+    parent[0] = 0
     checked = 0
-    for c in range(V):
-        dist_c = ball.bfs_from(c).astype(np.int64)
-        vals = dist_c[base_flat]
-        reliable = (vals >= 0) & (d1[base_flat] + int(d1[c]) + vals <= 2 * R)
-        all_ok = np.logical_and.reduceat(reliable, offsets)
-        safe_vals = np.where(reliable, vals, np.iinfo(np.int64).max)
-        mins = np.minimum.reduceat(safe_vals, offsets)
-        is_min = safe_vals == np.repeat(mins, sizes)
-        counts = np.add.reduceat(is_min, offsets)
-        checked += int(all_ok.sum())
-        bad = np.nonzero(all_ok & (counts > 2))[0]
-        for i in bad:
-            violations.append(
-                f"base (0,{targets[i]}), point {c}: {int(counts[i])} minimizers"
-            )
+    violations = []
+    c0, block = 0, 1
+    while c0 < V:
+        keys, dist = _reliable_pairs(ball, np.arange(c0, min(c0 + block, V)))
+        s, x = np.divmod(keys, V)
+        up = np.searchsorted(keys, s * V + parent[x])
+        low = dist.copy()   # least d(c, .) on the path so far
+        count = np.ones_like(dist)
+        level = d1[x]
+        for t in range(1, R + 1):
+            at = np.flatnonzero(level == t)
+            lo, n, d = low[up[at]], count[up[at]], dist[at]
+            low[at] = np.minimum(lo, d)
+            count[at] = np.where(lo < d, n, np.where(lo == d, n + 1, 1))
+        checked += int(np.count_nonzero(level))
+        for i in np.flatnonzero((level > 0) & (count > 2)):
+            violations.append(f"base (0,{x[i]}), point {c0 + s[i]}: {count[i]} minimizers")
+        c0 += block
+        block = max(1, min(4 * block, _PAIR_BUDGET * block // keys.size))
     return checked, violations
+
+
+def _reliable_pairs(ball: CayleyBall, sources: np.ndarray):
+    """Every reliable pair (c, x), c in sources, with its in-ball distance:
+    sorted keys (c - sources[0]) * V + x and the distances.
+
+    One breadth-first search from all sources at once that expands y at
+    depth j from c only while d(1, y) + j <= 2R - d(1, c).  Every vertex y
+    on an in-ball geodesic from c to a reliable x, at j = d(c, y), has
+    d(1, y) + j <= d(1, x) + d(c, x) and so passes; a vertex reached past
+    its distance from c would have passed there.  So the pairs reached
+    are the reliable ones, each at its exact distance.
+    """
+    V = ball.n_vertices
+    d1 = ball.dist
+    dtype = np.int32 if sources.size * V < 2**31 else np.int64
+    room = 2 * ball.radius - d1[sources]
+    front = np.arange(sources.size, dtype=dtype) * V + sources.astype(dtype)
+    levels = [front]
+    older = front[:0]
+    j = 0
+    while front.size:
+        j += 1
+        s, y = np.divmod(front, V)
+        z = ball.adj[y]
+        s = np.broadcast_to(s[:, None], z.shape)
+        keep = z >= 0
+        s, z = s[keep], z[keep]
+        keep = d1[z] + j <= room[s]
+        nxt = np.sort(s[keep] * V + z[keep])
+        new = np.ones(nxt.shape, dtype=bool)
+        np.not_equal(nxt[1:], nxt[:-1], out=new[1:])
+        new &= ~_member(levels[-1], nxt) & ~_member(older, nxt)
+        nxt = nxt[new]
+        older = levels[-1]
+        levels.append(nxt)
+        front = nxt
+    keys = np.concatenate(levels)
+    dist = np.repeat(np.arange(len(levels), dtype=np.int32), [a.size for a in levels])
+    order = np.argsort(keys)
+    return keys[order], dist[order]
+
+
+def _member(sorted_keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which entries of q occur in the sorted array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(q.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, q), sorted_keys.size - 1)
+    return sorted_keys[pos] == q

@@ -200,10 +200,20 @@ def read_json_table(path) -> list[ResultRow]:
 # Key-value experiment configs.
 
 
+def _int_list(s: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in s.split(","))
+
+
+def _check_list(s: str) -> tuple[str, ...]:
+    checks = tuple(x.strip() for x in s.split(","))
+    require_known_checks(checks)
+    return checks
+
+
 _CONFIG_KEYS = {
     "model.rank": ("rank", int),
     "model.density": ("density", Fraction),
-    "model.length_list": ("length_list", lambda s: tuple(int(x) for x in s.split(","))),
+    "model.length_list": ("length_list", _int_list),
     "model.seed": ("seed", int),
     "experiment.kind": ("kind", str),
     "experiment.trials": ("trials", int),
@@ -211,7 +221,7 @@ _CONFIG_KEYS = {
     "experiment.sentence_file": ("sentence_file", str),
     "experiment.sentence": ("sentence_text", str),
     "experiment.ball": ("ball", int),
-    "experiment.checks": ("checks", lambda s: tuple(x.strip() for x in s.split(","))),
+    "experiment.checks": ("checks", _check_list),
     "experiment.record_time": ("record_time", lambda s: s.lower() in ("1", "true", "yes")),
 }
 
@@ -220,12 +230,22 @@ _BUDGET_KEYS = {
     "budget.tuples": ("tuples", int),
 }
 
+# the fault named when a converter raises ValueError; _check_list names its own
+_NOT_A = {
+    int: "not an integer",
+    Fraction: "not a fraction",
+    _int_list: "not a comma-separated list of integers",
+}
 
-def _convert(conv, val: str, lineno: int):
+
+def _convert(conv, key: str, val: str, lineno: int):
     try:
         return conv(val)
-    except (ValueError, ZeroDivisionError) as e:  # Fraction("1/0") divides by zero
-        raise ValueError(f"line {lineno}: bad value {val!r}: {e}") from None
+    except ZeroDivisionError:  # Fraction("1/0")
+        fault = "zero denominator"
+    except ValueError as e:
+        fault = _NOT_A.get(conv, str(e))
+    raise ValueError(f"line {lineno}: {key}: bad value {val!r} ({fault})")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -241,10 +261,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in _CONFIG_KEYS:
             name, conv = _CONFIG_KEYS[key]
-            fields[name] = _convert(conv, val, lineno)
+            fields[name] = _convert(conv, key, val, lineno)
         elif key in _BUDGET_KEYS:
             name, conv = _BUDGET_KEYS[key]
-            setattr(budget, name, _convert(conv, val, lineno))
+            setattr(budget, name, _convert(conv, key, val, lineno))
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if "kind" not in fields:

@@ -194,3 +194,94 @@ def brute_all_paths(adj, dist, u: int, v: int):
                 path.pop()
     walk([u])
     return paths
+
+
+def build_ball_oracle(p: Presentation, R: int):
+    """Breadth-first Cayley ball with no candidate filter: each new word
+    words[u]*g, u at distance k, is tested with is_trivial against every
+    vertex at distance k-1..k+1 in turn.  Returns (words, dist, adj) laid
+    out as in cayley.CayleyBall."""
+    from randgroups.cancellation import is_trivial
+
+    letters = [g for i in range(1, p.rank + 1) for g in (i, -i)]
+    column = {g: c for c, g in enumerate(letters)}
+    words, dist, adj = [Word()], [0], [[-1] * len(letters)]
+    layers = [[0]]
+    for k in range(R + 1):
+        layers.append([])
+        for u in layers[k]:
+            for g in letters:
+                if adj[u][column[g]] >= 0:
+                    continue
+                w = free_reduce(words[u].concat(Word([g])))
+                near = (layers[k - 1] if k else []) + layers[k] + layers[k + 1]
+                v = next((x for x in near if is_trivial(w.concat(invert(words[x])), p)), None)
+                if v is None:
+                    if k == R:
+                        continue
+                    v = len(words)
+                    words.append(w)
+                    dist.append(k + 1)
+                    adj.append([-1] * len(letters))
+                    layers[k + 1].append(v)
+                adj[u][column[g]] = v
+                adj[v][column[-g]] = u
+    return words, dist, adj
+
+
+def distance_minimizers(ball, base: list[int], c: int) -> list[int]:
+    """Vertices of a geodesic minimizing the distance to c.
+
+    Every (vertex, c) pair involved must be reliable; the structure
+    results say the answer has at most two elements.
+    """
+    from randgroups.cayley import ReliabilityError
+
+    dist_c = ball.bfs_from(c)
+    R = ball.radius
+    for x in base:
+        dxc = int(dist_c[x])
+        if dxc < 0 or int(ball.dist[x]) + int(ball.dist[c]) + dxc > 2 * R:
+            raise ReliabilityError(f"pair ({x}, {c}) is not reliable at radius {R}")
+    best = min(int(dist_c[x]) for x in base)
+    return [x for x in base if int(dist_c[x]) == best]
+
+
+def minimizer_scan_oracle(ball):
+    """cayley._minimizer_scan the long way: a full BFS from every vertex c,
+    and for every target w the based geodesic walked along words[w],
+    checked when each of its vertices forms a reliable pair with c.
+    Returns (triples checked, violations)."""
+    import numpy as np
+
+    V = ball.n_vertices
+    R = ball.radius
+    d1 = ball.dist.astype(np.int64)
+    base_flat = []
+    offsets = []
+    for w in range(1, V):
+        path = [0]
+        for g in ball.words[w]:
+            path.append(ball.neighbor(path[-1], g))
+        offsets.append(len(base_flat))
+        base_flat.extend(path)
+    if not offsets:
+        return 0, []
+    base_flat = np.array(base_flat, dtype=np.int64)
+    offsets = np.array(offsets, dtype=np.int64)
+    sizes = np.diff(np.append(offsets, len(base_flat)))
+
+    violations = []
+    checked = 0
+    for c in range(V):
+        dist_c = ball.bfs_from(c).astype(np.int64)
+        vals = dist_c[base_flat]
+        reliable = (vals >= 0) & (d1[base_flat] + int(d1[c]) + vals <= 2 * R)
+        all_ok = np.logical_and.reduceat(reliable, offsets)
+        safe_vals = np.where(reliable, vals, np.iinfo(np.int64).max)
+        mins = np.minimum.reduceat(safe_vals, offsets)
+        counts = np.add.reduceat(safe_vals == np.repeat(mins, sizes), offsets)
+        checked += int(all_ok.sum())
+        for i in np.nonzero(all_ok & (counts > 2))[0]:
+            violations.append(f"base (0,{i + 1}), point {c}: {int(counts[i])} minimizers")
+    return checked, violations

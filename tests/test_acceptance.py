@@ -321,6 +321,37 @@ def test_criterion_05_geometry_suite():
     )
 
 
+def test_geometry_suite_past_half_relator():
+    """Criterion 05's checks where relator cycles fit in the ball.
+
+    Twelve of criterion 05's balls are free balls (l >= 2R + 1 sees no
+    relation).  Here, at rank 3 under C'(1/8), l = 9 and l = 10 run at
+    radius ceil(l/2) + 2 = 7.  The gate is non-vacuity: each ball must
+    identify vertices (be smaller than the free ball), the even-l ball
+    must hold a digon, and no check may report a violation.
+    """
+    t0 = time.monotonic()
+    R = 7
+    free = 1 + 6 * (5**R - 1) // 4
+    lines = []
+    for length in (9, 10):
+        assert math.ceil(length / 2) + 2 == R
+        (p,) = find_verified(3, 0, [length], Fraction(1, 8), 1)
+        ball = build_ball(p, R)
+        rep = geometry_scan(ball)
+        assert ball.n_vertices < free, f"l={length}: no vertex identified"
+        if length % 2 == 0:
+            assert rep.digon_count >= 1, f"l={length}: no digon"
+        assert not rep.violations, rep.violations[:5]
+        assert rep.pairs_checked == ball.n_vertices - 1
+        assert rep.triples_checked >= ball.n_vertices
+        lines.append(
+            f"l={length}: {free - ball.n_vertices} identified, {rep.pairs_checked} pairs, "
+            f"{rep.triples_checked} triples, {rep.digon_count} digons"
+        )
+    print("; ".join(lines), f"{time.monotonic() - t0:.1f}s")
+
+
 # -- 6. isoperimetric property ---------------------------------------------------
 
 

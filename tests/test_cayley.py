@@ -4,7 +4,8 @@ import pytest
 
 from randgroups.words import Word, Presentation, free_reduce, invert
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word
-from randgroups.cancellation import satisfies_cprime, equal_in_group
+from randgroups import cayley
+from randgroups.cancellation import satisfies_cprime, equal_in_group, max_piece_length
 from randgroups.cayley import (
     build_ball,
     all_geodesics,
@@ -12,14 +13,14 @@ from randgroups.cayley import (
     decompose_digons,
     verify_digon,
     single_layer,
-    distance_minimizers,
     digon_side_uniqueness,
     BallBudgetExceeded,
     ReliabilityError,
     Digon,
+    _minimizer_scan,
     _path_back,
 )
-from oracles import brute_all_paths
+from oracles import brute_all_paths, build_ball_oracle, distance_minimizers, minimizer_scan_oracle
 
 
 def W(s):
@@ -272,6 +273,14 @@ def synthetic_two_cell_digon():
 
 
 def test_synthetic_divisor_digon_verifies():
+    """The only test of division pairs in verify_digon.
+
+    A digon with a division pair needs l >= 9 (divisors are shorter than
+    l/8) and two-cell sides of about l - 1 edges, so radius >= l - 1: at
+    rank 3 and l = 9 under C'(1/8) that is a radius-8 ball of about 6*10^5
+    vertices.  No real ball that a test or benchmark builds holds one, so
+    this hand-built fixture is their only coverage.
+    """
     ball, low, up = synthetic_two_cell_digon()
     d = verify_digon(ball, low, up)
     assert d.ok, d.violations
@@ -407,3 +416,102 @@ def test_exhaustive_scan_small_sampled_ball():
             digons.extend(m.members)
     rep = digon_side_uniqueness(ball, digons)
     assert rep.ok, rep.violations
+
+
+# -- differential tests against the oracles -------------------------------------
+
+
+def first_cprime(rank, d, length, lam, seed=0):
+    while True:
+        p = sample_presentation(DensityParams(rank, Fraction(d), length, seed))
+        if satisfies_cprime(p, Fraction(lam)):
+            return p
+        seed += 1
+
+
+@pytest.mark.parametrize(
+    "p, R, inside",
+    [
+        (FREE2, 3, True),
+        (Presentation(3, [W("abc")]), 2, True),
+        (Presentation(4, [W("abcd")]), 2, True),
+        (first_cprime(3, 0, 7, Fraction(1, 6)), 3, True),
+        (Presentation(3, [W("abc")]), 3, False),
+        (Presentation(3, [W("abc")]), 4, False),
+    ],
+)
+def test_build_ball_matches_class_free_oracle(p, R, inside):
+    # inside: every word falls in the short window, where relator
+    # completion alone certifies; otherwise the class scan and Dehn run too
+    if p.relators:
+        window = 2 * p.length - 2 * max_piece_length(p).max_piece_length
+        assert (2 * R + 1 < window) == inside
+    ball = build_ball(p, R)
+    words, dist, adj = build_ball_oracle(p, R)
+    assert ball.words == words
+    assert ball.dist.tolist() == dist
+    assert ball.adj.tolist() == adj
+    assert ball.index == {w: v for v, w in enumerate(words)}
+
+
+def test_minimizer_scan_matches_oracle(monkeypatch):
+    balls = [build_ball(FREE2, 4)]
+    balls += [build_ball(first_cprime(3, 0, l, Fraction(1, 6)), 4) for l in (7, 8, 10)]
+    two = first_cprime(4, Fraction(1, 25), 9, Fraction(1, 8), seed=500)
+    assert two.n_relators == 2
+    balls.append(build_ball(two, 4))
+    results = []
+    for ball in balls:
+        checked, violations = _minimizer_scan(ball)
+        assert (checked, violations) == minimizer_scan_oracle(ball)
+        assert checked > ball.n_vertices
+        results.append((checked, violations))
+    # blocks of a few sources each: same answer
+    monkeypatch.setattr(cayley, "_PAIR_BUDGET", 64)
+    assert [_minimizer_scan(ball) for ball in balls] == results
+
+
+def three_minimizer_ball():
+    """A fake radius-3 ball on vertices 1, a, b, aa, c, aaa (0..5) in which
+    b and c are adjacent to 1, a and aa, so both see three minimizers on
+    the based geodesics of aa and of aaa.  Every pair is reliable."""
+    import numpy as np
+    from randgroups.cayley import CayleyBall
+
+    V = 6
+    adj = -np.ones((V, 6), dtype=np.int32)
+
+    def col(g):
+        return (abs(g) - 1) * 2 + (0 if g > 0 else 1)
+
+    def add_edge(x, y, g):
+        adj[x, col(g)] = y
+        adj[y, col(-g)] = x
+
+    a, b, c = 1, 2, 3
+    add_edge(0, 1, a)
+    add_edge(1, 3, a)
+    add_edge(3, 5, a)
+    add_edge(0, 2, b)
+    add_edge(2, 1, c)
+    add_edge(2, 3, b)
+    add_edge(0, 4, c)
+    add_edge(4, 1, b)
+    add_edge(4, 3, c)
+    words = [W(""), W("a"), W("b"), W("aa"), W("c"), W("aaa")]
+    dist = np.array([len(w) for w in words], dtype=np.int32)
+    return CayleyBall(Presentation(3), 3, words, {w: i for i, w in enumerate(words)}, dist, adj)
+
+
+def test_minimizer_scan_reports_violations_by_source_then_target():
+    ball = three_minimizer_ball()
+    assert ball.bfs_from(0).tolist() == ball.dist.tolist()
+    expected = [
+        "base (0,3), point 2: 3 minimizers",
+        "base (0,5), point 2: 3 minimizers",
+        "base (0,3), point 4: 3 minimizers",
+        "base (0,5), point 4: 3 minimizers",
+    ]
+    assert _minimizer_scan(ball) == (30, expected)
+    assert minimizer_scan_oracle(ball) == (30, expected)
+    assert distance_minimizers(ball, [0, 1, 3], 2) == [0, 1, 3]

@@ -105,5 +105,5 @@ def test_mc_command_reports_bad_config(tmp_path, capsys):
         main(["mc", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "randgroups: error: line 2: bad value '1/0'" in err
+    assert "randgroups: error: line 2: model.density: bad value '1/0' (zero denominator)" in err
     assert "Traceback" not in err

@@ -182,16 +182,27 @@ budget.ball_vertices = 5000
 
 def test_parse_config_rejects_unknown_key():
     # also bad values: 1/0 divides by zero, and a misspelt check name
-    # would check nothing and let every trial pass
-    for line in (
-        "bogus.key = 1",
-        "model.density = 1/0",
-        "experiment.lambda = 1/0",
-        "experiment.trials = many",
-        "experiment.checks = single-layr",
+    # would check nothing and let every trial pass; each message names
+    # the line, the key and what is wrong
+    for line, message in (
+        ("bogus.key = 1", "line 2: unknown key 'bogus.key'"),
+        ("model.density = 1/0", "line 2: model.density: bad value '1/0' (zero denominator)"),
+        ("experiment.lambda = 1/0", "line 2: experiment.lambda: bad value '1/0' (zero denominator)"),
+        ("model.density = half", "line 2: model.density: bad value 'half' (not a fraction)"),
+        ("experiment.trials = many", "line 2: experiment.trials: bad value 'many' (not an integer)"),
+        (
+            "model.length_list = 10,x",
+            "line 2: model.length_list: bad value '10,x' (not a comma-separated list of integers)",
+        ),
+        ("budget.tuples = 1e3", "line 2: budget.tuples: bad value '1e3' (not an integer)"),
+        (
+            "experiment.checks = single-layr",
+            "line 2: experiment.checks: bad value 'single-layr' (unknown geometry checks ['single-layr']",
+        ),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             parse_config(f"experiment.kind = cprime\n{line}\n")
+        assert str(exc.value).startswith(message)
 
 
 def test_run_experiment_dispatch():
