@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .words import Word, Presentation, _raw, free_reduce, invert, cyclic_reduce
 from .cancellation import is_trivial, symmetrize, max_piece_length, _require_sixth
+from .diagrams import _find
 
 
 class BallBudgetExceeded(RuntimeError):
@@ -182,7 +182,7 @@ class CayleyBall:
             if new.size == 0:
                 break
             dist[new] = depth
-            frontier = np.unique(new)
+            frontier = _sorted_unique(new)
         return dist
 
     def path_letters(self, path: list[int]) -> Word:
@@ -541,27 +541,21 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
             raw.append(((i0, i1), d))
 
     # merge clusters by overlap >= l/8 (transitively)
-    parent = list(range(len(raw)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    parent: dict[int, int] = {}
 
     def overlap(a, b):
         return max(0, min(a[1], b[1]) - max(a[0], b[0]))
 
     for i in range(len(raw)):
         for j in range(i + 1, len(raw)):
-            if Fraction(overlap(raw[i][0], raw[j][0])) * 8 >= l:
-                ri, rj = find(i), find(j)
+            if 8 * overlap(raw[i][0], raw[j][0]) >= l:
+                ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[ri] = rj
 
     clusters: dict[int, list[int]] = {}
     for i in range(len(raw)):
-        clusters.setdefault(find(i), []).append(i)
+        clusters.setdefault(_find(parent, i), []).append(i)
 
     merged: list[MergedDigon] = []
     for root in sorted(clusters, key=lambda r: min(raw[i][0] for i in clusters[r])):
@@ -589,7 +583,7 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
     for i in range(len(merged)):
         for j in range(i + 1, len(merged)):
             ov = overlap(merged[i].interval, merged[j].interval)
-            if Fraction(ov) * 8 >= l:
+            if 8 * ov >= l:
                 cfg.violations.append("merged digons still overlap by at least l/8")
             if j > i + 1 and ov > 0:
                 cfg.violations.append("non-consecutive digons intersect")
@@ -634,7 +628,7 @@ def digon_side_uniqueness(ball: CayleyBall, digons: list[Digon]) -> UniquenessRe
             rep.violations.append(f"lower side {low} admits {len(ups)} upper sides")
     for d in digons:
         for cell in d.cells:
-            if not (Fraction(cell.low_arc) * 4 > l and Fraction(cell.up_arc) * 4 > l):
+            if not (4 * cell.low_arc > l and 4 * cell.up_arc > l):
                 rep.violations.append(
                     f"cell arcs ({cell.low_arc}, {cell.up_arc}) not both longer than l/4"
                 )
@@ -778,11 +772,8 @@ def _reliable_pairs(ball: CayleyBall, sources: np.ndarray):
         keep = z >= 0
         s, z = s[keep], z[keep]
         keep = d1[z] + j <= room[s]
-        nxt = np.sort(s[keep] * V + z[keep])
-        new = np.ones(nxt.shape, dtype=bool)
-        np.not_equal(nxt[1:], nxt[:-1], out=new[1:])
-        new &= ~_member(levels[-1], nxt) & ~_member(older, nxt)
-        nxt = nxt[new]
+        nxt = _sorted_unique(s[keep] * V + z[keep])
+        nxt = nxt[~_member(levels[-1], nxt) & ~_member(older, nxt)]
         older = levels[-1]
         levels.append(nxt)
         front = nxt
@@ -790,6 +781,15 @@ def _reliable_pairs(ball: CayleyBall, sources: np.ndarray):
     dist = np.repeat(np.arange(len(levels), dtype=np.int32), [a.size for a in levels])
     order = np.argsort(keys)
     return keys[order], dist[order]
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by a sort and a neighbour compare, which numpy 2.x
+    runs many times faster on large integer arrays."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _member(sorted_keys: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .words import Word, Presentation, TemplateWord
 from .sampler import DensityParams, sample_presentation
 from .cancellation import max_piece_length, satisfies_cprime, dehn_reduce
 from .cayley import build_ball, geometry_scan, require_known_checks
-from .sentences import parse_sentence, to_clausal, refute_on_ball_free, refute_on_ball_group
+from .sentences import parse_sentence, to_clausal, refute_on_ball_group
 from .diagrams import BoundsParams, face_bound, advk_total_bound
 from .unification import (
     build_layout,
@@ -115,7 +115,7 @@ def _cmd_sentence(args) -> int:
         s = parse_sentence(f.read())
     out = {"sentence": s.text(), "ball": args.ball, "clauses": []}
     for c in to_clausal(s):
-        free_w = refute_on_ball_free(c, args.ball, rank=p.rank)
+        free_w = refute_on_ball_group(c, Presentation(p.rank), args.ball)
         group_w = refute_on_ball_group(c, p, args.ball)
         out["clauses"].append(
             {

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
+from .words import Presentation
 from .sampler import DensityParams, sample_presentation, stream
 from .cancellation import satisfies_cprime, first_moment_piece_bound
 from .sentences import parse_sentence, refute_sentence, BudgetExceeded
@@ -58,6 +59,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.length_list:
             raise ValueError("length grid must be nonempty")
+        # a geometry ball needs an edge; a sentence ball may be the identity
+        least = {"geometry": 1, "sentence": 0}.get(self.kind)
+        if least is not None and self.ball < least:
+            raise ValueError(f"experiment.ball: bad value {self.ball} ({self.kind} needs ball >= {least})")
         require_known_checks(self.checks)
 
 
@@ -106,13 +111,13 @@ def _trial(cfg: ExperimentConfig):
         return lambda p: "success" if satisfies_cprime(p, cfg.lam) else "failure"
     if cfg.kind == "sentence":
         sentence = _load_sentence(cfg)
-        free_refuted = refute_sentence(sentence, cfg.ball, None, cfg.rank, cfg.budget.tuples) is not None
+        free_refuted = refute_sentence(sentence, Presentation(cfg.rank), cfg.ball, cfg.budget.tuples) is not None
 
         def sentence_trial(p) -> str:
             if not satisfies_cprime(p, Fraction(1, 6)):
                 return "skip"
             try:
-                hit = refute_sentence(sentence, cfg.ball, p, budget=cfg.budget.tuples)
+                hit = refute_sentence(sentence, p, cfg.ball, cfg.budget.tuples)
             except BudgetExceeded:
                 return "failure"
             return "success" if (hit is not None) == free_refuted else "failure"

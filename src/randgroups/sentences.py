@@ -1,5 +1,6 @@
 """Universal sentences: parsing, clausal normalization, triangular systems,
-and bounded evaluation in free and sampled groups.
+and bounded evaluation in small cancellation groups, the free group
+included.
 
 Grammar (one line or many; whitespace is free):
 
@@ -18,8 +19,8 @@ All variables are implicitly universally quantified.  An unparenthesized
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from .words import (
     Word,
@@ -32,6 +33,7 @@ from .words import (
     invert,
 )
 from .cancellation import is_trivial, _require_sixth
+from .cayley import BallBudgetExceeded, build_ball
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +284,14 @@ def to_clausal(s: UniversalSentence) -> list[EquationalClause]:
     return out
 
 
-def eval_clause_free(c: EquationalClause, assignment: dict[str, Word]) -> bool:
-    """Truth of the clause in the free group under a total assignment."""
-    hyps = all(len(substitute(v, assignment)) == 0 for v in c.system)
-    if not hyps:
-        return True
-    return any(len(substitute(w, assignment)) == 0 for w in c.conclusions)
-
-
 def eval_clause_group(c: EquationalClause, assignment: dict[str, Word], p: Presentation) -> bool:
-    """As eval_clause_free, with equality decided by Dehn's algorithm."""
-    _require_sixth(p)
+    """Truth of the clause in the group of p under a total assignment,
+    with equality decided by Dehn's algorithm (the free group of rank n
+    is Presentation(n))."""
     hyps = all(is_trivial(substitute(v, assignment), p) for v in c.system)
     if not hyps:
         return True
     return any(is_trivial(substitute(w, assignment), p) for w in c.conclusions)
-
-
-def eval_sentence_free(s: UniversalSentence, assignment: dict[str, Word]) -> bool:
-    return all(eval_clause_free(c, assignment) for c in to_clausal(s))
 
 
 # ---------------------------------------------------------------------------
@@ -313,48 +304,39 @@ class BudgetExceeded(RuntimeError):
         self.examined = examined
 
 
-def reduced_words_up_to(n: int, max_len: int) -> list[Word]:
-    """All freely reduced words of length <= max_len, by (length, letters)."""
-    alphabet = list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
-    alphabet.sort(key=lambda x: (abs(x), x < 0))
-    out = [Word()]
-    frontier = [Word()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for a in alphabet:
-                if w and w[-1] == -a:
-                    continue
-                nxt.append(Word(w + (a,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _tuples_in_order(universe: list[Word], k: int, budget: int | None):
-    """Assignments ordered by total length, then componentwise index."""
+    """Assignments ordered by total length, then componentwise index.
+
+    The universe must be sorted by length with every length from 0 to the
+    longest present, as a ball's words are.  Tuples are made one at a
+    time, so an early witness ends the search.
+    """
     count = len(universe) ** k
     if budget is not None and count > budget:
         raise BudgetExceeded(count)
-    tuples = list(product(range(len(universe)), repeat=k))
-    tuples.sort(key=lambda t: (sum(len(universe[i]) for i in t), t))
-    for t in tuples:
-        yield tuple(universe[i] for i in t)
+    if k == 0:
+        yield ()
+        return
+    by_length: dict[int, list[Word]] = {}
+    for w in universe:
+        by_length.setdefault(len(w), []).append(w)
+    top = len(universe[-1])
 
+    def tuples(j: int, total: int):
+        """Tuples of j >= 1 words of total length `total`, in order."""
+        if j == 1:
+            yield from ((w,) for w in by_length.get(total, ()))
+            return
+        for n, words in by_length.items():
+            if n > total:
+                break
+            if total - n <= (j - 1) * top:
+                for w in words:
+                    for t in tuples(j - 1, total - n):
+                        yield (w,) + t
 
-def refute_on_ball_free(
-    c: EquationalClause, L: int, budget: int | None = 2_000_000, rank: int = 2
-) -> dict[str, Word] | None:
-    """First assignment of reduced words of length <= L falsifying the
-    clause, in length-lexicographic order; None certifies only ball-truth
-    up to L, not truth in the free group."""
-    vars_ = c.variables()
-    universe = reduced_words_up_to(rank, L)
-    for combo in _tuples_in_order(universe, len(vars_), budget):
-        a = dict(zip(vars_, combo))
-        if not eval_clause_free(c, a):
-            return a
-    return None
+    for total in range(k * top + 1):
+        yield from tuples(k, total)
 
 
 def refute_on_ball_group(
@@ -363,49 +345,43 @@ def refute_on_ball_group(
     L: int,
     budget: int | None = 2_000_000,
 ) -> dict[str, Word] | None:
-    """Group analogue of refute_on_ball_free over words of length <= L.
+    """First assignment of group elements of length <= L falsifying the
+    clause, or None, which certifies only ball-truth up to L.
 
-    When 2L < relator length (or there are no relators) distinct reduced
-    words are automatically distinct in the group, so the raw-word
-    universe is already deduplicated.
+    The universe is the Cayley ball of radius L, one canonical word per
+    element in the order build_ball finds them (by length, then
+    lexicographically); the free group of rank n is Presentation(n).
+    Assignments come by total length, then by position in the universe.
+    The budget caps the number of tuples: the ball is built under it, so
+    a universe too large raises BudgetExceeded before any tuple exists.
     """
     _require_sixth(p)
     vars_ = c.variables()
-    universe = reduced_words_up_to(p.rank, L)
-    if p.relators and 2 * L >= p.length:
-        universe = _dedup_in_group(universe, p, budget)
-    for combo in _tuples_in_order(universe, len(vars_), budget):
+    k = len(vars_)
+    if L < 0:
+        raise ValueError(f"ball radius must be >= 0, got {L}")
+    if L == 0 or k == 0:
+        universe = [Word()]
+    else:
+        # at least budget**(1/k) vertices, so the exact tuple count decides
+        cap = math.inf if budget is None else int(budget ** (1 / k)) + 1
+        try:
+            universe = build_ball(p, L, max_vertices=cap).words
+        except BallBudgetExceeded as e:
+            raise BudgetExceeded((e.vertices + 1) ** k) from None
+    for combo in _tuples_in_order(universe, k, budget):
         a = dict(zip(vars_, combo))
         if not eval_clause_group(c, a, p):
             return a
     return None
 
 
-def _dedup_in_group(universe: list[Word], p: Presentation, budget) -> list[Word]:
-    from .cancellation import equal_in_group
-    import logging
-
-    if budget is not None and len(universe) ** 2 > budget:
-        logging.getLogger(__name__).warning(
-            "group dedup over %d words exceeds the budget; using raw words",
-            len(universe),
-        )
-        return universe
-    reps: list[Word] = []
-    for w in universe:
-        if not any(equal_in_group(w, r, p) for r in reps):
-            reps.append(w)
-    return reps
-
-
-def refute_sentence(s: UniversalSentence, L: int, p: Presentation | None = None, rank: int = 2,
+def refute_sentence(s: UniversalSentence, p: Presentation, L: int,
                     budget: int | None = 2_000_000):
-    """First witness falsifying any clause, or None."""
+    """First (clause, witness) falsifying a clause of s over the ball of
+    radius L in the group of p, or None."""
     for c in to_clausal(s):
-        if p is None:
-            witness = refute_on_ball_free(c, L, budget, rank)
-        else:
-            witness = refute_on_ball_group(c, p, L, budget)
+        witness = refute_on_ball_group(c, p, L, budget)
         if witness is not None:
             return c, witness
     return None

@@ -308,6 +308,12 @@ class Presentation:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "length", length)
+        # hashed on every cached lookup (symmetrize, the C'(1/6) gate,
+        # the Dehn index), so computed once
+        object.__setattr__(self, "_hash", hash((rank, relators, length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_relators(self) -> int:
@@ -325,14 +331,14 @@ class Presentation:
         if not lines:
             raise ValueError("empty presentation file")
         header = lines[0]
-        fields = dict(part.split("=", 1) for part in header.split())
         try:
+            fields = dict(part.split("=", 1) for part in header.split())
             rank = int(fields["rank"])
             length = int(fields["length"])
         except (KeyError, ValueError) as e:
             raise ValueError(f"bad presentation header {header!r}") from e
         relators = [Word.from_text(ln) for ln in lines[1:]]
-        return cls(rank, relators, length if relators else length)
+        return cls(rank, relators, length)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

@@ -60,8 +60,9 @@ def max_piece_oracle(p: Presentation) -> int:
 
 
 def enumerate_reduced_words(n: int, max_len: int):
-    """All freely reduced words of length <= max_len over rank n."""
-    alphabet = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+    """All freely reduced words of length <= max_len over rank n, by
+    (length, letters) with the letters ordered a, A, b, B, ..."""
+    alphabet = [g for i in range(1, n + 1) for g in (i, -i)]
     out = [Word()]
     frontier = [Word()]
     for _ in range(max_len):
@@ -74,6 +75,18 @@ def enumerate_reduced_words(n: int, max_len: int):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def dedup_in_group_oracle(words, p: Presentation) -> list[Word]:
+    """The first word of each group element among `words`, in order, by
+    is_trivial against every kept word (|words|^2 Dehn calls)."""
+    from randgroups.cancellation import is_trivial
+
+    kept: list[Word] = []
+    for w in words:
+        if not any(is_trivial(w.concat(invert(v)), p) for v in kept):
+            kept.append(w)
+    return kept
 
 
 def insertion_neighbors(w: Word, elements, cap: int):

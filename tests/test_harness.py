@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randgroups.harness import (
     Budget,
@@ -199,6 +200,9 @@ def test_parse_config_rejects_unknown_key():
             "experiment.checks = single-layr",
             "line 2: experiment.checks: bad value 'single-layr' (unknown geometry checks ['single-layr']",
         ),
+        # a ball the kind cannot use fails when the config is built, not mid-run
+        ("experiment.kind = geometry\nexperiment.ball = 0", "experiment.ball: bad value 0 (geometry needs ball >= 1)"),
+        ("experiment.kind = sentence\nexperiment.ball = -1", "experiment.ball: bad value -1 (sentence needs ball >= 0)"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_config(f"experiment.kind = cprime\n{line}\n")
@@ -210,3 +214,28 @@ def test_run_experiment_dispatch():
     assert len(rows) == 2
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="nonsense"))
+
+
+_config_keys = st.sampled_from(
+    ["model.rank", "model.density", "model.length_list", "model.seed", "experiment.kind",
+     "experiment.trials", "experiment.lambda", "experiment.sentence", "experiment.ball",
+     "experiment.checks", "experiment.record_time", "budget.ball_vertices", "budget.tuples",
+     "bogus.key", ""]
+)
+_config_values = st.sampled_from(
+    ["0", "1", "-1", "3", "1/8", "1/0", "x", "", "10,20", "10,", "digons", "single-layr",
+     "cprime", "sentence", "geometry", "nonsense", "true", "x y ~x ~y = 1", "= ="]
+) | st.text(max_size=8)
+_config_lines = st.builds(
+    lambda k, v, sep: f"{k}{sep}{v}", _config_keys, _config_values, st.sampled_from([" = ", "=", " ", "#"])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_config_lines, max_size=5).map("\n".join) | st.text(max_size=40))
+def test_parse_config_raises_only_value_error(text):
+    """Any text either parses or raises a ValueError subclass."""
+    try:
+        parse_config(text)
+    except ValueError:
+        pass

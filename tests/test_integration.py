@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from randgroups.words import Word, free_reduce, invert, rotate
+from randgroups.words import Word, Presentation, free_reduce, invert, rotate
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word, stream
 from randgroups.cancellation import (
     satisfies_cprime,
@@ -13,7 +13,7 @@ from randgroups.cancellation import (
 )
 from randgroups.cayley import build_ball, pair_reliable, single_layer, digon_side_uniqueness
 from randgroups.diagrams import diagram_from_dehn_trace, verify_diagram, boundary_word, is_reduced
-from randgroups.sentences import parse_sentence, to_clausal, refute_on_ball_group, refute_on_ball_free
+from randgroups.sentences import parse_sentence, to_clausal, refute_on_ball_group
 from oracles import max_piece_oracle
 
 
@@ -74,6 +74,6 @@ def test_pipeline_fuzz():
         # sentence layer agrees with the free group on the commutator clause
         witness = refute_on_ball_group(clause, p, 1)
         assert witness is not None
-        free_witness = refute_on_ball_free(clause, 1, rank=rank)
+        free_witness = refute_on_ball_group(clause, Presentation(rank), 1)
         assert free_witness is not None
     assert verified == 6

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,24 +8,23 @@ from hypothesis import given, settings, strategies as st
 from randgroups.words import Word, TemplateWord, Presentation, substitute, free_reduce
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word, stream
 from randgroups.cancellation import satisfies_cprime
+from randgroups.cayley import build_ball
 from randgroups.sentences import (
     parse_sentence,
     to_clausal,
-    eval_clause_free,
     eval_clause_group,
-    eval_sentence_free,
-    refute_on_ball_free,
     refute_on_ball_group,
     refute_sentence,
     triangularize,
     extend_solution,
     max_occurrences,
-    reduced_words_up_to,
     EquationalClause,
     SentenceSyntaxError,
     BudgetExceeded,
     _tuples_in_order,
 )
+
+from oracles import dedup_in_group_oracle, enumerate_reduced_words
 
 
 def W(s):
@@ -33,6 +33,11 @@ def W(s):
 
 def T(s):
     return TemplateWord.from_text(s)
+
+
+F2 = Presentation(2)  # the free group of rank 2
+SC = sample_presentation(DensityParams(2, Fraction(0), 16, 306))  # C'(1/6) verified below
+SC_RANK3 = Presentation(3, [W("aaCAccB")])  # C'(1/6), l = 7
 
 
 # -- parsing ------------------------------------------------------------------
@@ -129,7 +134,23 @@ def test_to_clausal_preserves_truth(seed):
             or any(len(substitute(l.word, a)) != 0 for l in c.disjuncts if not l.positive)
             for c in s.clauses
         )
-        assert direct == all(eval_clause_free(c, a) for c in clauses)
+        assert direct == all(eval_clause_group(c, a, F2) for c in clauses)
+
+
+_sentence_tokens = st.sampled_from(
+    ["x", "y", "z1", "a", "B", "~", "~x", "=", "!=", "1", "->", "&", "|", "(", ")",
+     " ", "k", "x1y", "a2", "-", "!", "0"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_sentence_tokens, max_size=14).map("".join) | st.text(max_size=30))
+def test_parse_sentence_raises_only_value_error(text):
+    """Any text either parses or raises a ValueError subclass."""
+    try:
+        parse_sentence(text)
+    except ValueError:
+        pass
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -137,56 +158,70 @@ def test_to_clausal_preserves_truth(seed):
 
 def test_eval_clause_free_examples():
     [c] = to_clausal(parse_sentence("x x = 1 -> x = 1"))
-    assert eval_clause_free(c, {"x": W("a")})       # hypothesis fails
-    assert eval_clause_free(c, {"x": Word()})        # conclusion holds
+    assert eval_clause_group(c, {"x": W("a")}, F2)       # hypothesis fails
+    assert eval_clause_group(c, {"x": Word()}, F2)        # conclusion holds
     [c2] = to_clausal(parse_sentence("x y ~x ~y = 1"))
-    assert not eval_clause_free(c2, {"x": W("a"), "y": W("b")})
+    assert not eval_clause_group(c2, {"x": W("a"), "y": W("b")}, F2)
 
 
 def test_refute_on_ball_free_commutator():
     [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
-    w = refute_on_ball_free(c, 1)
-    assert w is not None
-    assert sorted(len(v) for v in w.values()) == [1, 1]
-    assert not eval_clause_free(c, w)
+    w = refute_on_ball_group(c, F2, 1)
+    assert w == {"x": W("a"), "y": W("b")}
+    assert not eval_clause_group(c, w, F2)
 
 
 def test_refute_on_ball_free_torsion_none():
     [c] = to_clausal(parse_sentence("x x = 1 -> x = 1"))
-    assert refute_on_ball_free(c, 3) is None
+    assert refute_on_ball_group(c, F2, 3) is None
 
 
 def test_refute_monotone_in_L():
     [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
-    w1 = refute_on_ball_free(c, 1)
-    w2 = refute_on_ball_free(c, 2)
+    w1 = refute_on_ball_group(c, F2, 1)
+    w2 = refute_on_ball_group(c, F2, 2)
     assert w1 is not None and w2 is not None
-    assert not eval_clause_free(c, w1)
-    assert not eval_clause_free(c, w2)
+    assert not eval_clause_group(c, w1, F2)
+    assert not eval_clause_group(c, w2, F2)
 
 
 def test_refute_against_double_loop_oracle():
     [c] = to_clausal(parse_sentence("x x x = 1 -> x = 1"))
     # independent double-loop evaluation at L = 2
     found = None
-    for x in reduced_words_up_to(2, 2):
+    for x in enumerate_reduced_words(2, 2):
         cube = free_reduce(x.concat(x).concat(x))
         if len(cube) == 0 and len(x) != 0:
             found = x
             break
-    assert (refute_on_ball_free(c, 2) is None) == (found is None)
+    assert (refute_on_ball_group(c, F2, 2) is None) == (found is None)
+
+
+def test_refute_on_ball_of_radius_zero():
+    # the universe of L = 0 is the identity alone; a negative L is an error
+    [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
+    assert refute_on_ball_group(c, F2, 0) is None
+    [nontrivial] = to_clausal(parse_sentence("x = 1"))
+    assert refute_on_ball_group(nontrivial, F2, 0) is None
+    assert refute_on_ball_group(nontrivial, SC, 1) == {"x": W("a")}
+    with pytest.raises(ValueError):
+        refute_on_ball_group(c, F2, -1)
 
 
 def test_budget_exceeded():
     [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
     with pytest.raises(BudgetExceeded):
-        refute_on_ball_free(c, 3, budget=10)
+        refute_on_ball_group(c, F2, 3, budget=10)
+    # the budget counts tuples exactly: 5 words of length <= 1 make 25 pairs
+    assert refute_on_ball_group(c, F2, 1, budget=25) is not None
+    with pytest.raises(BudgetExceeded):
+        refute_on_ball_group(c, F2, 1, budget=24)
 
 
 def test_budget_checked_before_tuples_are_allocated():
     # 53^3 = 148877 triples over the rank-2 words of length <= 3: over
     # 10 MB if materialised; the budget must fire before any of them exist
-    universe = reduced_words_up_to(2, 3)
+    universe = enumerate_reduced_words(2, 3)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
@@ -198,16 +233,64 @@ def test_budget_checked_before_tuples_are_allocated():
     assert peak < 1 << 20
 
 
-SC = sample_presentation(DensityParams(2, Fraction(0), 16, 306))  # C'(1/6) verified below
-
-
-def test_group_eval_matches_free_on_empty_presentation():
-    empty = Presentation(2, [], 0)
+@pytest.mark.parametrize("p", [F2, SC], ids=["free", "relator"])
+def test_over_budget_ball_raises_budget_exceeded(p):
+    # the ball is built under the tuple budget: at L = 9 it would hold
+    # about 4 * 10^4 words, but only about 100 (10^4 pairs) are made
     [c] = to_clausal(parse_sentence("x y ~x ~y = 1"))
-    for x in reduced_words_up_to(2, 2):
-        a = {"x": x, "y": W("b")}
-        assert eval_clause_group(c, a, empty) == eval_clause_free(c, a)
-    assert refute_on_ball_group(c, empty, 1) == refute_on_ball_free(c, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            refute_on_ball_group(c, p, 9, budget=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.examined > 10_000
+    assert peak < 1 << 20
+
+
+def _sorted_product(universe, k):
+    """Every k-tuple of the universe, sorted by total length, then index."""
+    tuples = sorted(
+        product(range(len(universe)), repeat=k),
+        key=lambda t: (sum(len(universe[i]) for i in t), t),
+    )
+    return [tuple(universe[i] for i in t) for t in tuples]
+
+
+def test_tuples_in_order_matches_sorted_product():
+    for n, L, ks in ((2, 0, range(4)), (2, 1, range(5)), (2, 2, range(4)), (2, 3, range(3)),
+                     (2, 4, range(3)), (3, 1, range(5)), (3, 2, range(4)), (3, 4, range(2))):
+        universe = build_ball(Presentation(n), L).words if L else [Word()]
+        for k in ks:
+            assert list(_tuples_in_order(universe, k, None)) == _sorted_product(universe, k), (n, L, k)
+    # lengths of uneven multiplicity: 1, 4, 3, 2 and 1 words of length 0..4
+    words = enumerate_reduced_words(3, 4)
+    universe = [w for n in range(5) for w in [w for w in words if len(w) == n][: max(1, 5 - n)]]
+    for k in range(5):
+        assert list(_tuples_in_order(universe, k, None)) == _sorted_product(universe, k), k
+
+
+def test_tuples_are_made_lazily():
+    # 161^4 = 6.7 * 10^8 tuples of rank-2 words of length <= 4: the first
+    # ones come without the rest being made
+    universe = enumerate_reduced_words(2, 4)
+    first = list(islice(_tuples_in_order(universe, 4, None), 6))
+    assert first == _sorted_product(universe[:5], 4)[:6]
+
+
+def test_ball_universe_matches_oracles():
+    # the refutation universe is the ball's words: in the free group, the
+    # reduced words by (length, letters); with a relator, the first word
+    # of each group element in that order (14 of 937 words identified)
+    for n, top in ((2, 5), (3, 5), (4, 4)):
+        for L in range(1, top + 1):
+            assert build_ball(Presentation(n), L).words == enumerate_reduced_words(n, L)
+    assert satisfies_cprime(SC_RANK3, Fraction(1, 6))
+    words = enumerate_reduced_words(3, 4)
+    dedup = dedup_in_group_oracle(words, SC_RANK3)
+    assert (len(words), len(dedup)) == (937, 923)
+    assert build_ball(SC_RANK3, 4).words == dedup
 
 
 def test_group_refutation_on_sampled_presentation():
@@ -232,12 +315,13 @@ def test_identity_assignment_satisfies_variable_products():
 
 def test_refute_sentence_interface():
     s = parse_sentence("x y ~x ~y = 1")
-    hit = refute_sentence(s, 1)
+    hit = refute_sentence(s, F2, 1)
     assert hit is not None
     clause, witness = hit
-    assert not eval_clause_free(clause, witness)
+    assert not eval_clause_group(clause, witness, F2)
     s_true = parse_sentence("x x = 1 -> x = 1")
-    assert refute_sentence(s_true, 2) is None
+    assert refute_sentence(s_true, F2, 2) is None
+    assert refute_sentence(s_true, SC, 2) is None
 
 
 # -- triangular systems ---------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from randgroups.words import (
     Word,
@@ -130,7 +130,7 @@ def test_presentation_file_round_trip(tmp_path):
     path = tmp_path / "pres.txt"
     p.save(path)
     q = Presentation.load(path)
-    assert q == p
+    assert q == p and hash(q) == hash(p)
 
 
 def test_presentation_file_comments_and_spaces():
@@ -143,3 +143,31 @@ def test_empty_presentation():
     p = Presentation(2, [], 0)
     assert p.n_relators == 0
     assert Presentation.from_text(p.to_text()) == p
+
+
+def test_presentation_header_without_equals_sign():
+    with pytest.raises(ValueError, match="bad presentation header 'rank 2'"):
+        Presentation.from_text("rank 2\nabAB\n")
+
+
+# presentation files assembled from plausible and broken pieces
+_header_tokens = st.sampled_from(
+    ["rank=2", "rank=3", "rank=1", "rank=x", "rank", "length=4", "length=0", "length=-1",
+     "length=", "=", "==", "rank=2=3", "size=4", "rank=99999999999999999999"]
+)
+_relator_lines = st.text(alphabet="abcdABCD #=1z\t", max_size=10)
+_presentation_texts = st.builds(
+    lambda head, rels: "\n".join([" ".join(head)] + rels),
+    st.lists(_header_tokens, max_size=4),
+    st.lists(_relator_lines, max_size=4),
+) | st.text(max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_presentation_texts)
+def test_presentation_from_text_raises_only_value_error(text):
+    """Any text either parses or raises a ValueError subclass."""
+    try:
+        Presentation.from_text(text)
+    except ValueError:
+        pass
