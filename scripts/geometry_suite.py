@@ -47,7 +47,8 @@ def main():
         status = "ok" if not rep.violations else f"{len(rep.violations)} VIOLATIONS"
         print(
             f"l={length} seed={seed-1}: {ball.n_vertices} vertices, "
-            f"{rep.pairs_checked} pairs, {rep.triples_checked} triples, "
+            f"{rep.pairs_checked} pairs ({rep.multi_geodesic_pairs} multi-geodesic), "
+            f"{rep.triples_checked} triples, "
             f"{rep.digon_count} digons, max divisor {rep.max_divisor_len}, "
             f"{status} ({time.time()-t0:.1f}s)"
         )

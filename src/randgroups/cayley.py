@@ -22,9 +22,14 @@ Geometric claims are asserted only for reliable pairs, under the
 containment criterion d(1,u) + d(1,v) + d(u,v) <= 2R: every true
 geodesic between u and v then lies inside the ball, so in-ball
 enumeration is exact and complete for the group.  geometry_scan runs the
-checks over every reliable pair and triple of a ball; the minimizer scan
-finds the reliable pairs with one breadth-first search from many sources
-at once, pruned so that it reaches exactly those pairs (_reliable_pairs).
+checks over every reliable pair and triple of a ball.  A pair (1, w)
+with a single geodesic has no second geodesic to form a digon with and
+no geodesic vertex outside its base, so it passes the single-layer check
+as it stands: one numpy pass counts the geodesics to every vertex
+(_geodesic_counts), and single_layer runs only where there are two or
+more.  The minimizer scan finds the reliable pairs with one
+breadth-first search from many sources at once, pruned so that it
+reaches exactly those pairs (_reliable_pairs).
 """
 
 from __future__ import annotations
@@ -655,9 +660,11 @@ class GeometryReport:
     digon_count: int = 0
     max_divisor_len: int = 0
     violations: list[str] = field(default_factory=list)
+    multi_geodesic_pairs: int = 0   # pairs with two or more geodesics, run through single_layer
 
     def merge(self, other: "GeometryReport"):
         self.pairs_checked += other.pairs_checked
+        self.multi_geodesic_pairs += other.multi_geodesic_pairs
         self.triples_checked += other.triples_checked
         self.digon_count += other.digon_count
         self.max_divisor_len = max(self.max_divisor_len, other.max_divisor_len)
@@ -669,15 +676,21 @@ def geometry_scan(ball: CayleyBall, checks=GEOMETRY_CHECKS) -> GeometryReport:
 
     Pairs (u, v) translate to (1, u^-1 v), so scanning every reliable
     pair (identity, w) is exhaustive up to translation; likewise triples
-    for the minimizer check.  Raises ValueError on an unknown check name.
+    for the minimizer check.  Every pair is checked, but single_layer runs
+    only on the pairs with two or more geodesics (in vertex order): a
+    pair with one geodesic has no digon, and no geodesic vertex lies
+    outside its base, so single_layer would report nothing for it.
+    Raises ValueError on an unknown check name.
     """
     require_known_checks(checks)
     rep = GeometryReport()
     digons = []
     want_layers = "single-layer" in checks or "digons" in checks
     if want_layers:
-        for v in range(1, ball.n_vertices):
-            rep.pairs_checked += 1
+        rep.pairs_checked += ball.n_vertices - 1
+        # a count of 0 (a malformed ball) also goes to single_layer, which fails on it
+        for v in np.flatnonzero(_geodesic_counts(ball) != 1).tolist():
+            rep.multi_geodesic_pairs += 1
             cfg = single_layer(ball, 0, v)
             rep.violations.extend(f"pair (0,{v}): {msg}" for msg in cfg.violations)
             for m in cfg.digons:
@@ -695,6 +708,25 @@ def geometry_scan(ball: CayleyBall, checks=GEOMETRY_CHECKS) -> GeometryReport:
         rep.triples_checked += checked
         rep.violations.extend(bad)
     return rep
+
+
+def _geodesic_counts(ball: CayleyBall) -> np.ndarray:
+    """The number of geodesics from the identity to each vertex, saturated
+    at 2: len(all_geodesics(ball, 0, v)) capped at 2.
+
+    One numpy pass per layer of ball.dist: a vertex at distance k sums the
+    counts of its adjacency entries at distance k - 1.  Capping each term
+    at 2 caps the sum exactly, since the terms are nonnegative.
+    """
+    dist = ball.dist
+    counts = np.zeros(ball.n_vertices, dtype=np.int64)
+    counts[0] = 1
+    for k in range(1, int(dist.max(initial=0)) + 1):
+        at = np.flatnonzero(dist == k)
+        nbrs = ball.adj[at]
+        down = (nbrs >= 0) & (dist[nbrs] == k - 1)
+        counts[at] = np.minimum(np.where(down, counts[nbrs], 0).sum(axis=1), 2)
+    return counts
 
 
 # pairs per block of sources in _minimizer_scan: bounds its working memory

@@ -94,6 +94,7 @@ def _cmd_ball(args) -> int:
         out.update(
             {
                 "pairs_checked": rep.pairs_checked,
+                "multi_geodesic_pairs": rep.multi_geodesic_pairs,
                 "triples_checked": rep.triples_checked,
                 "violations": rep.violations,
                 "digon_count": rep.digon_count,

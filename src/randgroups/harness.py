@@ -29,6 +29,8 @@ from .cayley import (
 
 CSV_HEADER = "ell,n,d,trials,success,fraction,oracle,seed,ms"
 
+EXPERIMENT_KINDS = ("cprime", "sentence", "geometry")
+
 
 @dataclass
 class Budget:
@@ -55,6 +57,12 @@ class ExperimentConfig:
     def __post_init__(self):
         self.density = Fraction(self.density)
         self.lam = Fraction(self.lam)
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ValueError(
+                f"experiment.kind: bad value {self.kind!r} (known: {', '.join(EXPERIMENT_KINDS)})"
+            )
+        if self.rank < 2:
+            raise ValueError(f"model.rank: bad value {self.rank} (rank must be >= 2)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.length_list:

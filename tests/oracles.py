@@ -298,3 +298,40 @@ def minimizer_scan_oracle(ball):
         for i in np.nonzero(all_ok & (counts > 2))[0]:
             violations.append(f"base (0,{i + 1}), point {c}: {int(counts[i])} minimizers")
     return checked, violations
+
+
+def geometry_scan_oracle(ball, checks=("single-layer", "digons", "minimizers")):
+    """cayley.geometry_scan with single_layer run on every pair (1, w),
+    w != 1, in vertex order, whatever its number of geodesics.  A pair
+    counts as multi-geodesic when its configuration has a digon: two
+    distinct geodesics with common endpoints differ somewhere, and each
+    stretch where they differ is a digon."""
+    from randgroups.cayley import (
+        GeometryReport,
+        _minimizer_scan,
+        digon_side_uniqueness,
+        single_layer,
+    )
+
+    rep = GeometryReport()
+    digons = []
+    if "single-layer" in checks or "digons" in checks:
+        for v in range(1, ball.n_vertices):
+            rep.pairs_checked += 1
+            cfg = single_layer(ball, 0, v)
+            rep.multi_geodesic_pairs += bool(cfg.digons)
+            rep.violations.extend(f"pair (0,{v}): {msg}" for msg in cfg.violations)
+            for m in cfg.digons:
+                digons.extend(m.members)
+                rep.digon_count += len(m.members)
+                for dg in m.members:
+                    rep.violations.extend(f"pair (0,{v}): {msg}" for msg in dg.violations)
+                    for _, _, path in dg.division_pairs:
+                        rep.max_divisor_len = max(rep.max_divisor_len, len(path) - 1)
+    if "digons" in checks and digons:
+        rep.violations.extend(digon_side_uniqueness(ball, digons).violations)
+    if "minimizers" in checks:
+        checked, bad = _minimizer_scan(ball)
+        rep.triples_checked += checked
+        rep.violations.extend(bad)
+    return rep

@@ -14,13 +14,20 @@ from randgroups.cayley import (
     verify_digon,
     single_layer,
     digon_side_uniqueness,
+    geometry_scan,
     BallBudgetExceeded,
     ReliabilityError,
     Digon,
     _minimizer_scan,
     _path_back,
 )
-from oracles import brute_all_paths, build_ball_oracle, distance_minimizers, minimizer_scan_oracle
+from oracles import (
+    brute_all_paths,
+    build_ball_oracle,
+    distance_minimizers,
+    geometry_scan_oracle,
+    minimizer_scan_oracle,
+)
 
 
 def W(s):
@@ -515,3 +522,43 @@ def test_minimizer_scan_reports_violations_by_source_then_target():
     assert _minimizer_scan(ball) == (30, expected)
     assert minimizer_scan_oracle(ball) == (30, expected)
     assert distance_minimizers(ball, [0, 1, 3], 2) == [0, 1, 3]
+
+
+def geometry_balls():
+    """The ball-geometry benchmark's kind of ball (rank 3, R = 4, l = 7, 8,
+    10), the l = 8 one at R = 5 (where geodesics go on past the far corner
+    of a relator cycle, keeping both routes), a rank-3 l = 10 ball at
+    R = 5, a rank-4 two-relator C'(1/8) ball at l = 10 and R = 5, and the
+    fabricated three-geodesic ball, whose cells are invalid."""
+    balls = [build_ball(first_cprime(3, 0, l, Fraction(1, 6)), 4) for l in (7, 8, 10)]
+    balls.append(build_ball(balls[1].presentation, 5))
+    balls.append(build_ball(sample_presentation(DensityParams(3, Fraction(0), 10, 53)), 5))
+    two = first_cprime(4, Fraction(1, 25), 10, Fraction(1, 8), seed=500)
+    assert two.n_relators == 2
+    balls.append(build_ball(two, 5))
+    balls.append(three_geodesic_ball(16))
+    return balls
+
+
+def test_geodesic_counts_match_all_geodesics():
+    for ball in geometry_balls():
+        counts = cayley._geodesic_counts(ball)
+        assert counts.tolist() == [
+            min(len(all_geodesics(ball, 0, v)), 2) for v in range(ball.n_vertices)
+        ]
+
+
+def test_geometry_scan_matches_per_vertex_oracle():
+    reports = []
+    for ball in geometry_balls():
+        rep = geometry_scan(ball)
+        assert rep == geometry_scan_oracle(ball)
+        assert rep.pairs_checked == ball.n_vertices - 1
+        reports.append(rep)
+    # the even-length relator balls that close a relator cycle have
+    # multi-geodesic pairs (l = 10 at R = 4 is free, and an odd cycle makes
+    # no two geodesics of equal length); the fabricated ball's three
+    # multi-geodesic vertices 4, 5, 6 report their violations
+    assert [rep.multi_geodesic_pairs for rep in reports] == [0, 8, 0, 72, 10, 20, 3]
+    assert all(not rep.violations for rep in reports[:-1])
+    assert reports[-1].violations

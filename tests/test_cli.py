@@ -39,6 +39,8 @@ def test_ball_command(tmp_path, capsys):
     assert data["vertices"] == 937
     assert data["violations"] == []
     assert "digon_count" in data and "max_divisor_len" in data
+    # 937 vertices is the free rank-3 ball of radius 4: every pair has one geodesic
+    assert data["multi_geodesic_pairs"] == 0
     with pytest.raises(SystemExit) as exc:
         main(["ball", "--in", str(pres), "--radius", "4", "--verify", "bogus"])
     assert exc.value.code == 2

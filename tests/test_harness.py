@@ -203,6 +203,9 @@ def test_parse_config_rejects_unknown_key():
         # a ball the kind cannot use fails when the config is built, not mid-run
         ("experiment.kind = geometry\nexperiment.ball = 0", "experiment.ball: bad value 0 (geometry needs ball >= 1)"),
         ("experiment.kind = sentence\nexperiment.ball = -1", "experiment.ball: bad value -1 (sentence needs ball >= 0)"),
+        # so do an unknown kind and a rank without a nonabelian free group
+        ("experiment.kind = nonsense", "experiment.kind: bad value 'nonsense' (known: cprime, sentence, geometry)"),
+        ("model.rank = 1", "model.rank: bad value 1 (rank must be >= 2)"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_config(f"experiment.kind = cprime\n{line}\n")

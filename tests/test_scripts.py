@@ -44,3 +44,10 @@ def test_geometry_suite_script(tmp_path):
                         "--radius", "2", "--count", "1", cwd=tmp_path)
     [line] = stdout.splitlines()
     assert line.startswith("l=25 seed=") and ", ok (" in line
+    assert " pairs (0 multi-geodesic), " in line  # l > 2R: a free ball
+    # at l = 2R the relator cycles close, and their pairs reach single_layer
+    stdout = run_script("geometry_suite.py", "--rank", "3", "--lengths", "10",
+                        "--radius", "5", "--count", "1", "--seed", "53", cwd=tmp_path)
+    [line] = stdout.splitlines()
+    assert line.startswith("l=10 seed=53: 4677 vertices, 4676 pairs (10 multi-geodesic), ")
+    assert ", ok (" in line
