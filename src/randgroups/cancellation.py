@@ -18,7 +18,10 @@ and the maximum piece length is a binary search over k.
 
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
-decides the word problem (Greendlinger).
+decides the word problem (Greendlinger).  Dehn's algorithm and Cayley-ball
+completion share one index from more-than-half prefixes to the unique
+element each starts.  The leftmost such subword is replaced, and the scan
+resumes floor(l/2) letters left of the first changed letter, not at 0.
 """
 
 from __future__ import annotations
@@ -189,59 +192,69 @@ class DehnStep(NamedTuple):
     removed: int           # |u|, the length of the replaced subword
 
 
+def _prefix_sizes(l: int) -> range:
+    """The prefix sizes of _dehn_index: ceil(l/2) and floor(l/2) + 1."""
+    return range((l + 1) // 2, l // 2 + 2)
+
+
 @lru_cache(maxsize=256)
-def _dehn_index(p: Presentation):
-    """Map each symmetrized element's half-plus-one prefix to candidates."""
-    sym = symmetrize(p)
-    half = p.length // 2 + 1
-    index: dict[tuple[int, ...], list[Word]] = {}
-    for el in sym.elements:
-        index.setdefault(tuple(el[:half]), []).append(el)
-    return half, index, sym.origin
+def _dehn_index(p: Presentation) -> dict[tuple[int, ...], Word]:
+    """Map each prefix of ceil(l/2) or floor(l/2) + 1 letters of a
+    symmetrized element to that element.  Under C'(1/6) such a prefix is
+    longer than l/6, so it is no piece and starts one element only."""
+    sizes = _prefix_sizes(p.length)
+    return {el[:j]: el for el in symmetrize(p).elements for j in sizes}
 
 
-def _dehn_step(w: Word, p: Presentation):
-    """Leftmost, then longest subword u with |u| > l/2 extending to an
-    element u*v; returns (position, element, |u|) or None."""
-    half, index, _ = _dehn_index(p)
-    n = len(w)
-    for i in range(n - half + 1):
-        candidates = index.get(w[i : i + half])
-        if not candidates:
-            continue
-        best = None
-        for el in candidates:
-            k = half
-            m = min(len(el), n - i)
-            while k < m and el[k] == w[i + k]:
-                k += 1
-            if best is None or k > best[1]:
-                best = (el, k)
-        el, k = best
-        return i, el, k
-    return None
+def _cancel(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """a and b less the letters that cancel where a ends and b starts;
+    for freely reduced a and b no other letters cancel."""
+    c, top = 0, min(len(a), len(b))
+    while c < top and a[-1 - c] == -b[c]:
+        c += 1
+    return a[: len(a) - c], b[c:]
 
 
 def _dehn_walk(w: Word, p: Presentation):
     """Dehn's algorithm on free_reduce(w), one replacement at a time: yields
-    (word, step) before each replacement, then (final word, None)."""
+    (word, step) before each replacement, then (final word, None).
+
+    A cursor i scans windows of floor(l/2) + 1 letters; a hit starts one
+    element el, matched on to k letters.  w[:i] * el[k:]^-1 * w[i+k:]
+    cancels only where the parts meet.  If m letters of w[:i] survive,
+    the windows before m - floor(l/2) are unchanged, so the scan resumes
+    there."""
     _require_sixth(p)
     cur = free_reduce(w)
     if p.relators:
-        origin = _dehn_index(p)[2]
-        while (hit := _dehn_step(cur, p)) is not None:
-            i, el, k = hit
+        index = _dehn_index(p)
+        origin = symmetrize(p).origin
+        half = _prefix_sizes(p.length)[-1]
+        i = 0
+        while i + half <= len(cur):
+            el = index.get(cur[i : i + half])
+            if el is None:
+                i += 1
+                continue
+            k, top = half, min(len(el), len(cur) - i)
+            while k < top and el[k] == cur[i + k]:
+                k += 1
             yield cur, DehnStep(i, el, origin[el], k)
-            cur = free_reduce(_raw(cur[:i] + invert(el[k:]) + cur[i + k :]))
+            left, mid = _cancel(cur[:i], invert(el[k:]))
+            mid, right = _cancel(mid, cur[i + k :])
+            if not mid:
+                left, right = _cancel(left, right)
+            cur = _raw(left + mid + right)
+            i = max(0, len(left) - p.length // 2)
     yield cur, None
 
 
 def dehn_reduce(w: Word, p: Presentation) -> tuple[Word, list[DehnStep]]:
     """Run Dehn's algorithm to a fixpoint; returns the final word and trace.
 
-    Requires C'(1/6).  Each step strictly decreases the length, scanning
-    for the leftmost, then longest, more-than-half subword of a
-    symmetrized element.
+    Requires C'(1/6).  Each step strictly decreases the length, replacing
+    the leftmost more-than-half subword of a symmetrized element (which is
+    unique, see _dehn_index), extended as far as it goes.
     """
     trace: list[DehnStep] = []
     for cur, step in _dehn_walk(w, p):

@@ -14,9 +14,11 @@ reduced core of w*v^-1 and must be r itself.  So the vertex equal to w
 is looked up, not searched for: for each suffix x of w that is a prefix
 of an element r = x*y^-1, the candidate is the vertex c*y.  A hit is
 equal to w, since w*v^-1 is conjugate to r, and inside the window a miss
-proves w new.  Outside the window a miss is followed by a class scan: each vertex
-at distance k-1..k+1 in w's class in the abelianization modulo the
-relator lattice is tested with Dehn's algorithm, complete under C'(1/6).
+proves w new.  x is looked up in Dehn's index (cancellation._dehn_index)
+and y read off r.  Outside the window a miss is followed by a class scan:
+each vertex v at distance k-1..k+1 in w's class in the abelianization
+modulo the relator lattice is tested with is_trivial(w*v^-1), complete
+under C'(1/6).
 
 Geometric claims are asserted only for reliable pairs, under the
 containment criterion d(1,u) + d(1,v) + d(u,v) <= 2R: every true
@@ -39,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import Word, Presentation, _raw, free_reduce, invert, cyclic_reduce
-from .cancellation import is_trivial, symmetrize, max_piece_length, _require_sixth
+from .words import Word, Presentation, _raw, free_reduce, invert
+from .cancellation import is_trivial, symmetrize, max_piece_length
+from .cancellation import _require_sixth, _dehn_index, _prefix_sizes
 from .diagrams import _find
 
 
@@ -227,12 +230,8 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
     n = p.rank
     l = p.length
     reducer = _AbelianReducer(p)
-    sym = set(symmetrize(p).elements)
-    # each prefix x, l/2 <= |x| <= l/2 + 1, of a symmetrized element
-    # r = x*y^-1, with its completion y; under C'(1/6) such an x is longer
-    # than any piece, so it starts one element only
-    sizes = range((l + 1) // 2, l // 2 + 2)
-    completion = {r[:j]: invert(r[j:]) for r in sym for j in sizes}
+    # the element r = x*y^-1 that each prefix x, l/2 <= |x| <= l/2 + 1, starts
+    starts, sizes = _dehn_index(p), _prefix_sizes(l)
     # Short trivial words are conjugates of relators: a reduced diagram
     # with two faces has boundary longer than 2l - 2*maxpiece (and
     # bridged or larger diagrams longer still), so below that threshold
@@ -256,17 +255,6 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         v[abs(g) - 1] += 1 if g > 0 else -1
         return reducer.reduce(tuple(v))
 
-    def certified_equal(w: Word, v: int) -> bool:
-        diff = free_reduce(w.concat(invert(words[v])))
-        if len(diff) == 0:
-            return True
-        if len(diff) < l or not p.relators:
-            return False
-        if len(diff) < short_window:
-            core, _ = cyclic_reduce(diff)
-            return core in sym
-        return is_trivial(diff, p)
-
     def find(w: Word, u: int, g: int, k: int) -> int | None:
         """The vertex equal to w = words[u]*g, u at distance k, if any."""
         v = index.get(w)
@@ -280,15 +268,15 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         for j in sizes:
             if j > k + 1:
                 break
-            y = completion.get(w[k + 1 - j :])
-            if y is not None:
-                v = index.get(w[: k + 1 - j] + y)
+            r = starts.get(w[k + 1 - j :])
+            if r is not None:
+                v = index.get(w[: k + 1 - j] + invert(r[j:]))
                 if v is not None:
                     return v
         if k + 1 + min(k + 1, R) < short_window:
             return None
         for cand in by_class.get(candidate_vec(u, g), ()):
-            if dist[cand] >= k - 1 and certified_equal(w, cand):
+            if dist[cand] >= k - 1 and is_trivial(w.concat(invert(words[cand])), p):
                 return cand
         return None
 
@@ -425,7 +413,7 @@ def verify_digon(ball: CayleyBall, low: list[int], up: list[int]) -> Digon:
     divisors, and every cell bearing a symmetrized element."""
     p = ball.presentation
     l = p.length
-    sym = set(symmetrize(p).elements)
+    origin = symmetrize(p).origin
     out = Digon(list(low), list(up), [], [])
     if low[0] != up[0] or low[-1] != up[-1]:
         out.violations.append("sides do not share endpoints")
@@ -470,7 +458,7 @@ def verify_digon(ball: CayleyBall, low: list[int], up: list[int]) -> Digon:
         except ValueError:
             out.violations.append("cell cycle has a missing edge")
             continue
-        if len(word) != l or word not in sym:
+        if len(word) != l or word not in origin:
             out.violations.append(
                 f"cell between low[{i0}:{i1}] and up[{j0}:{j1}] bears "
                 f"{word.text()!r}, not a symmetrized relator"
@@ -593,7 +581,7 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
             if j > i + 1 and ov > 0:
                 cfg.violations.append("non-consecutive digons intersect")
 
-    # coverage: every geodesic lies in the base plus the digon cells
+    # coverage: every geodesic lies in the base, the digon cells and the divisor paths
     covered = set(base)
     for m in merged:
         for cell in m.cells:
@@ -601,7 +589,6 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
         for d in m.members:
             for _, _, path in d.division_pairs:
                 covered.update(path)
-            covered.update(d.up)  # single-cell digons have up inside cells anyway
     for other in geos[1:]:
         stray = [x for x in other if x not in covered]
         if stray:

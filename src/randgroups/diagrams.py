@@ -355,15 +355,14 @@ def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
             rep.fail("base vertex not on the outer boundary")
 
     # face words bear symmetrized relators
-    sym = set(symmetrize(p).elements)
+    origin = symmetrize(p).origin
     for fi, f in enumerate(D.faces):
         w = D.cycle_word(f)
-        if w not in sym:
+        if w not in origin:
             rep.fail(f"face {fi} word {w.text()!r} is not a symmetrized relator")
 
     # consistent numbering: same number -> same relator word up to symmetry
     by_num = {}
-    origin = symmetrize(p).origin
     for fi, f in enumerate(D.faces):
         w = D.cycle_word(f)
         if w in origin:

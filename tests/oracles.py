@@ -89,6 +89,38 @@ def dedup_in_group_oracle(words, p: Presentation) -> list[Word]:
     return kept
 
 
+def dehn_walk_oracle(w: Word, p: Presentation):
+    """Dehn's algorithm the long way: rescan from position 0 for the
+    leftmost window of floor(l/2) + 1 letters that starts some symmetrized
+    elements, use the candidate that matches longest, free-reduce the whole
+    word, and repeat.  Returns (final word, [(position, element, origin,
+    removed) per step]), the layout of cancellation.DehnStep."""
+    from randgroups.cancellation import symmetrize
+
+    sym = symmetrize(p)
+    half = p.length // 2 + 1
+    candidates: dict[tuple, list[Word]] = {}
+    for el in sym.elements:
+        candidates.setdefault(tuple(el[:half]), []).append(el)
+    cur, trace = free_reduce(w), []
+    while True:
+        best = None
+        for i in range(len(cur) - half + 1):
+            for el in candidates.get(tuple(cur[i : i + half]), []):
+                k = half
+                while k < min(len(el), len(cur) - i) and el[k] == cur[i + k]:
+                    k += 1
+                if best is None or k > best[3]:
+                    best = (i, el, sym.origin[el], k)
+            if best is not None:
+                break
+        if best is None:
+            return cur, trace
+        trace.append(best)
+        i, el, _, k = best
+        cur = free_reduce(Word(cur[:i]).concat(invert(Word(el[k:]))).concat(Word(cur[i + k :])))
+
+
 def insertion_neighbors(w: Word, elements, cap: int):
     """Reduced words reachable in one insert-a-relator move, length <= cap."""
     seen = set()

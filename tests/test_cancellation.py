@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,17 @@ from randgroups.cancellation import (
     equal_in_group,
     first_moment_piece_bound,
     NotSmallCancellation,
+    _dehn_index,
+    _dehn_walk,
+    _prefix_sizes,
 )
-from oracles import max_piece_oracle, all_cyclic_occurrences, bfs_trivial_oracle, enumerate_reduced_words
+from oracles import (
+    max_piece_oracle,
+    all_cyclic_occurrences,
+    bfs_trivial_oracle,
+    dehn_walk_oracle,
+    enumerate_reduced_words,
+)
 
 
 def W(s):
@@ -193,6 +203,79 @@ def test_dehn_strictly_decreasing_lengths():
     assert cur == final
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
     assert len(trace) <= len(w)
+
+
+# C'(1/6) presentations (rank, density, length, seed): one relator at rank
+# 2 and l = 16, 24 and at rank 3 and l = 7 (aaCAccB), and seven relators
+# at rank 4, d = 1/32, l = 32, whose longest piece (5 letters) is just
+# under l/6
+DEHN_CASES = [(2, 0, 16, 306), (2, 0, 24, 0), (3, 0, 7, 0), (4, Fraction(1, 32), 32, 0)]
+
+
+def _dehn_case(n, d, l, seed):
+    p = sample_presentation(DensityParams(n, Fraction(d), l, seed))
+    assert satisfies_cprime(p, Fraction(1, 6))
+    return p
+
+
+def _dehn_words(p, rng, count):
+    """Seeded words: products of conjugates g*r*g^-1 of symmetrized elements
+    (trivial), each with a random word spliced in, and chains of
+    more-than-half prefixes of elements joined by short random words."""
+    els = symmetrize(p).elements
+
+    def word(m):
+        return sample_reduced_word(p.rank, m, rng) if m else Word()
+
+    def randint(lo, hi):
+        return int(rng.integers(lo, hi))
+
+    out = []
+    for _ in range(count):
+        w = Word()
+        for _ in range(randint(1, 12)):
+            g = word(randint(0, p.length // 2 + 1))
+            w = w.concat(g).concat(els[randint(0, len(els))]).concat(invert(g))
+        cut = randint(0, len(w) + 1)
+        chain = Word()
+        for _ in range(randint(1, 8)):
+            el = els[randint(0, len(els))]
+            chain = chain.concat(Word(el[: randint(p.length // 2, p.length + 1)])).concat(word(randint(0, 3)))
+        out += [w, Word(w[:cut]).concat(word(randint(1, 6))).concat(Word(w[cut:])), chain]
+    return [free_reduce(w) for w in out]
+
+
+@pytest.mark.parametrize("n, d, l, seed", DEHN_CASES)
+def test_dehn_reduce_matches_rescanning_oracle(n, d, l, seed):
+    """The resuming walk gives the final word and the whole trace of the
+    walk that rescans from 0 and free-reduces the whole word each step."""
+    p = _dehn_case(n, d, l, seed)
+    words = _dehn_words(p, stream(41, n, l), 60)
+    trivial = meets = 0
+    for w in words:
+        final, trace = dehn_reduce(w, p)
+        assert (final, trace) == dehn_walk_oracle(w, p)
+        trivial += not final
+        # whole-relator steps after which the letters on both sides cancel
+        for cur, step in _dehn_walk(w, p):
+            if step and step.removed == l and 0 < step.position < len(cur) - l:
+                meets += cur[step.position - 1] == -cur[step.position + l]
+    assert 0 < trivial < len(words)
+    assert meets > 0
+
+
+@pytest.mark.parametrize("n, d, l, seed", DEHN_CASES)
+def test_dehn_index_holds_each_element_once_per_prefix_size(n, d, l, seed):
+    p = _dehn_case(n, d, l, seed)
+    index = _dehn_index(p)
+    elements = symmetrize(p).elements
+    sizes = _prefix_sizes(l)
+    assert list(sizes) == sorted({math.ceil(l / 2), l // 2 + 1})
+    # no key collisions: every (element, size) prefix is its own key
+    assert len(index) == len(elements) * len(sizes)
+    for el in elements:
+        for j in sizes:
+            assert index[el[:j]] is el
 
 
 def test_is_trivial_examples():

@@ -364,6 +364,16 @@ def test_single_layer_keeps_short_overlap_separate():
     assert not any("non-consecutive" in v for v in cfg.violations)
 
 
+def test_single_layer_reports_geodesic_vertices_outside_the_configuration():
+    # coverage comes from the base, the cells and the divisor paths: the
+    # fabricated cells bear no relator, so both deviations are uncovered
+    cfg = single_layer(three_geodesic_ball(16), 0, 6)
+    assert [v for v in cfg.violations if "outside" in v] == [
+        "geodesic vertices [10, 11, 12] outside the configuration",
+        "geodesic vertices [7, 8, 9] outside the configuration",
+    ]
+
+
 def test_abelian_reducer_canonical_on_cosets():
     # the candidate filter is sound only if equal cosets get equal keys:
     # reduce(v) must be invariant under adding lattice vectors
