@@ -9,12 +9,17 @@ is strictly shorter than lambda * length.
 
 Pieces are found by one numpy kernel.  The doubled readings (each
 relator and its inverse, written twice) form a (2N, 2l) uint8 array with
-the letters -n..-1, 1..n coded 0..2n-1 in order, so byte order is word
-order.  Each cyclic k-gram is one k-byte void value, and a piece of
-length k exists exactly when two of the 2N*l grams are equal.  Piece
-lengths are downward closed (a prefix of a piece is a piece at the same
-occurrences), so C'(lambda) is one kernel call at k = ceil(lambda * l),
-and the maximum piece length is a binary search over k.
+the letters -n..-1, 1..n coded 0..2n-1 in order.  Each of the 2N*l cyclic
+k-grams gets an exact int64 label that keeps word order: while
+(2n)^k < 2^63 the base-2n number of its letter codes, and past that the
+pair of labels of its two overlapping ceil(k/2)-grams, densely ranked
+first when the pair would overflow (prefix doubling, Manber & Myers,
+SIAM J. Comput. 22, 1993).  A piece of length k exists exactly when two
+labels are equal, so a probe is one in-place int64 sort and a neighbour
+compare, 8 bytes a gram whatever k is.  Piece lengths are downward
+closed (a prefix of a piece is a piece at the same occurrences), so
+C'(lambda) is one kernel call at k = ceil(lambda * l), and the maximum
+piece length is a binary search over k.
 
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
@@ -82,25 +87,70 @@ def _readings(p: Presentation) -> np.ndarray:
     codes: row 2j reads relator j, row 2j+1 its inverse.  The grams of
     length <= l starting in [0, l) of a row are exactly its cyclic
     occurrences, at flat index row * l + start."""
-    n = p.rank
     fwd = np.array(p.relators, dtype=np.int8)
     rows = np.stack([fwd, -fwd[:, ::-1]], axis=1).reshape(-1, p.length)
-    codes = (rows + np.where(rows < 0, n, n - 1)).astype(np.uint8)
+    codes = (rows + p.rank - (rows > 0)).astype(np.uint8)
     return np.concatenate([codes, codes], axis=1)
 
 
-def _grams(codes: np.ndarray, k: int) -> np.ndarray:
-    """A fresh flat array of the cyclic k-grams, one k-byte void each."""
-    rows, width = codes.shape
-    view = np.ndarray((rows, width // 2), dtype=f"V{k}", buffer=codes, strides=(width, 1))
-    return view.flatten()
+_KEY_LIMIT = 2**63
+_RANK_SLICE = 1 << 20
 
 
-def _has_piece(codes: np.ndarray, k: int) -> bool:
+def _labels(codes: np.ndarray, base: int, k: int) -> tuple[np.ndarray, int]:
+    """Word-ordered labels of the cyclic k-grams as a fresh (2N, l) int64
+    array, and a bound m above every label.  Equal grams, and only they,
+    get equal labels.  Dense ranks number at most 2N*l, so a pair of them
+    fits in int64 while 2N*l < 3 * 10^9."""
+    l = codes.shape[1] // 2
+    if base**k < _KEY_LIMIT:
+        keys = codes[:, :l].astype(np.int64)
+        for t in range(1, k):
+            keys *= base
+            keys += codes[:, t : t + l]
+        return keys, base**k
+    h = (k + 1) // 2
+    keys, m = _labels(codes, base, h)
+    if m * m >= _KEY_LIMIT:
+        m = _dense_ranks(keys)
+    tail = np.roll(keys, h - k, axis=1)  # the h-gram at cyclic start i + k - h
+    keys *= m
+    keys += tail
+    return keys, m * m
+
+
+def _dense_ranks(keys: np.ndarray) -> int:
+    """Replace keys in place by their ranks among the distinct values,
+    which keeps their order; returns the number of distinct values.  The
+    ranks are written back one slice of the sort order at a time, so
+    beside the keys only the order is held whole."""
+    flat = keys.reshape(-1)
+    order = np.argsort(flat)
+    top, prev = -1, None
+    for s in range(0, len(order), _RANK_SLICE):
+        part = order[s : s + _RANK_SLICE]
+        vals = flat[part]
+        new = np.empty(len(vals), dtype=bool)
+        new[0] = prev is None or vals[0] != prev
+        np.not_equal(vals[1:], vals[:-1], out=new[1:])
+        prev = vals[-1]
+        ranks = np.cumsum(new) + top
+        top = int(ranks[-1])
+        flat[part] = ranks
+    return top + 1
+
+
+def _gram_keys(codes: np.ndarray, base: int, k: int) -> np.ndarray:
+    """The flat int64 labels of the 2N*l cyclic k-grams; flat index
+    row * l + start as in _readings."""
+    return _labels(codes, base, k)[0].reshape(-1)
+
+
+def _has_piece(codes: np.ndarray, base: int, k: int) -> bool:
     """Whether some length-k word has two distinct cyclic occurrences."""
-    grams = _grams(codes, k)
-    grams.sort()
-    return bool((grams[1:] == grams[:-1]).any())
+    keys = _gram_keys(codes, base, k)
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def _gate_length(lam, l: int) -> int:
@@ -117,13 +167,13 @@ def max_piece_length(p: Presentation) -> PieceReport:
     """
     if not p.relators:
         return PieceReport(0, [])
-    codes = _readings(p)
-    if not _has_piece(codes, 1):
+    codes, base = _readings(p), 2 * p.rank
+    if not _has_piece(codes, base, 1):
         return PieceReport(0, [])
     lo, hi = 1, p.length  # piece of length lo exists; none of length hi+1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _has_piece(codes, mid):
+        if _has_piece(codes, base, mid):
             lo = mid
         else:
             hi = mid - 1
@@ -131,14 +181,20 @@ def max_piece_length(p: Presentation) -> PieceReport:
 
 
 def _witnesses(p: Presentation, codes: np.ndarray, k: int) -> list[tuple[Word, Occurrence, Occurrence]]:
-    """Every piece of length k with its first two occurrences.  A stable
-    argsort groups equal grams in word order and keeps each group's flat
-    indices, hence its occurrences, in reading order."""
+    """Every piece of length k with its first two occurrences.
+
+    A stable argsort of the k-gram labels groups equal grams in word order
+    and keeps each group's flat indices, hence its occurrences, in reading
+    order.  Packed labels compare as base-2n numbers of equal length, that
+    is in word order.  A pair label compares its first half-gram first and
+    then its second; when the first halves agree, the second halves share
+    the letters where the two halves overlap, so they differ first where
+    the grams do.  Dense ranks keep the order of what they rank."""
     l, n = p.length, p.rank
-    grams = _grams(codes, k)
-    order = np.argsort(grams, kind="stable")
-    ordered = grams[order]
-    same = ordered[1:] == ordered[:-1]
+    keys = _gram_keys(codes, 2 * n, k)
+    order = np.argsort(keys, kind="stable")
+    keys.sort()  # now keys[i] is the old keys[order[i]]
+    same = keys[1:] == keys[:-1]
     firsts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
     alphabet = [*range(-n, 0), *range(1, n + 1)]
 
@@ -168,7 +224,7 @@ def satisfies_cprime(p: Presentation, lam) -> bool:
         return False
     if k > p.length:
         return True
-    return not _has_piece(_readings(p), k)
+    return not _has_piece(_readings(p), 2 * p.rank, k)
 
 
 @lru_cache(maxsize=256)

@@ -9,6 +9,7 @@ operation returns a new word.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -66,7 +67,8 @@ class Word(tuple):
 
     @property
     def is_reduced(self) -> bool:
-        return all(self[i] != -self[i + 1] for i in range(len(self) - 1))
+        # no two adjacent letters sum to 0, scanned at C level
+        return 0 not in map(operator.add, self, self[1:])
 
     def __mul__(self, other) -> "Word":
         return free_reduce(tuple.__new__(Word, tuple.__add__(self, other)))
@@ -92,14 +94,14 @@ def _raw(letters) -> Word:
 
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to w, by stack cancellation."""
+    if 0 not in map(operator.add, w, w[1:]):
+        return w if isinstance(w, Word) else Word(w)
     out: list[int] = []
     for x in w:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    if len(out) == len(w):
-        return w if isinstance(w, Word) else Word(w)
     return _raw(out)
 
 

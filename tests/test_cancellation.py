@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,12 @@ from randgroups.cancellation import (
     NotSmallCancellation,
     _dehn_index,
     _dehn_walk,
+    _gram_keys,
+    _has_piece,
     _prefix_sizes,
+    _readings,
 )
+from randgroups import cancellation
 from oracles import (
     max_piece_oracle,
     all_cyclic_occurrences,
@@ -159,6 +164,96 @@ def test_pieces_fixed_cases():
         ("abab", (0, 1, 0), (0, 1, 2)),
         ("baba", (0, 1, 1), (0, 1, 3)),
     ]
+
+
+def _planted(n, l, arc, seed):
+    """A cyclically reduced word r, a rotation of r and the inverse of
+    another, both with letters changed every arc + 1 positions: they share
+    pieces of length arc with r (r itself again when arc = l)."""
+    rng = stream(seed)
+    base = sample_reduced_word(n, l, rng)
+    while base[0] == -base[-1]:
+        base = sample_reduced_word(n, l, rng)
+    letters = (*range(1, n + 1), *range(-1, -n - 1, -1))
+    relators = [base]
+    for offset, flip in ((0, False), (arc // 2, True)):
+        w = list(base)
+        for i in range(offset, l + offset, arc + 1) if arc < l else ():
+            i %= l
+            banned = {w[i], -w[i - 1], -w[(i + 1) % l]}
+            w[i] = next(x for x in letters if x not in banned)
+        w = rotate(Word(w), int(rng.integers(0, l)))
+        relators.append(invert(w) if flip else w)
+    return Presentation(n, relators, l)
+
+
+@pytest.fixture
+def label_routes(monkeypatch):
+    """Record the route each _labels call takes: 'packed' (base-2n digits),
+    'pair' (the two half labels as they are) or 'ranked pair'."""
+    seen, stack = set(), []
+    labels, ranks = cancellation._labels, cancellation._dense_ranks
+
+    def spy_labels(codes, base, k):
+        if stack:
+            stack[-1] = "pair"
+        stack.append("packed")
+        out = labels(codes, base, k)
+        seen.add(stack.pop())
+        return out
+
+    def spy_ranks(keys):
+        stack[-1] = "ranked pair"
+        return ranks(keys)
+
+    monkeypatch.setattr(cancellation, "_labels", spy_labels)
+    monkeypatch.setattr(cancellation, "_dense_ranks", spy_ranks)
+    return seen
+
+
+def test_piece_kernel_is_exact_on_every_label_route(label_routes):
+    # ranks 2 and 3 pack up to k = 31 and 24 and rank the halves above;
+    # ranks 5 and 26 pack up to 18 and 11, and past 36 and 22 pair halves
+    # that are already ranked pairs.  The planted pieces put the maximum on
+    # both sides of each switch, at odd and even k.
+    cases = {
+        (2, 13): (4, 7, 13),
+        (2, 48): (31, 32, 33, 35, 47, 48),
+        (3, 48): (24, 25, 26, 41),
+        (5, 48): (18, 19, 36, 37, 40),
+        (26, 30): (11, 12, 13, 22, 23, 29, 30),
+    }
+    for (n, l), arcs in cases.items():
+        for arc in arcs:
+            p = _planted(n, l, arc, 1000 * n + arc)
+            codes = _readings(p)
+            for k in range(1, l + 1):
+                expected = any(len(o) >= 2 for o in all_cyclic_occurrences(p, k).values())
+                assert _has_piece(codes, 2 * n, k) == expected, (p, k)
+            _assert_matches_oracle(p)
+            assert max_piece_length(p).max_piece_length >= arc
+    assert label_routes == {"packed", "pair", "ranked pair"}
+
+
+def test_dense_ranks_match_unique_across_slices(monkeypatch):
+    rng = np.random.default_rng(0)
+    for size in (1, 3, 64, 1 << 20):
+        monkeypatch.setattr(cancellation, "_RANK_SLICE", size)
+        keys = rng.integers(0, 50, (40, 7)) * 10**15
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        ranks = keys.copy()
+        assert cancellation._dense_ranks(ranks) == len(distinct)
+        assert (ranks == inverse.reshape(keys.shape)).all()
+
+
+def test_piece_keys_are_one_int64_per_gram():
+    for p in (_planted(2, 48, 40, 7), _planted(26, 30, 20, 8), sample_presentation(DensityParams(3, Fraction(1, 10), 40, 9))):
+        codes = _readings(p)
+        for k in range(1, p.length + 1):
+            keys = _gram_keys(codes, 2 * p.rank, k)
+            assert keys.dtype == np.int64
+            assert keys.shape == (2 * p.n_relators * p.length,)
+            assert keys.min() >= 0
 
 
 def test_dehn_reduce_whole_relator():
