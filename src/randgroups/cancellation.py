@@ -13,13 +13,13 @@ the letters -n..-1, 1..n coded 0..2n-1 in order.  Each of the 2N*l cyclic
 k-grams gets an exact int64 label that keeps word order: while
 (2n)^k < 2^63 the base-2n number of its letter codes, and past that the
 pair of labels of its two overlapping ceil(k/2)-grams, densely ranked
-first when the pair would overflow (prefix doubling, Manber & Myers,
-SIAM J. Comput. 22, 1993).  A piece of length k exists exactly when two
-labels are equal, so a probe is one in-place int64 sort and a neighbour
-compare, 8 bytes a gram whatever k is.  Piece lengths are downward
-closed (a prefix of a piece is a piece at the same occurrences), so
-C'(lambda) is one kernel call at k = ceil(lambda * l), and the maximum
-piece length is a binary search over k.
+first (prefix doubling, Manber & Myers, SIAM J. Comput. 22, 1993).  A
+piece of length k exists exactly when two labels are equal, so a probe
+is one in-place int64 sort and a neighbour compare, 8 bytes a gram
+whatever k is.  Piece lengths are downward closed (a prefix of a piece
+is a piece at the same occurrences), so C'(lambda) is one kernel call
+at k = ceil(lambda * l), and the maximum piece length is a binary
+search over k.
 
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
@@ -99,9 +99,10 @@ _RANK_SLICE = 1 << 20
 
 def _labels(codes: np.ndarray, base: int, k: int) -> tuple[np.ndarray, int]:
     """Word-ordered labels of the cyclic k-grams as a fresh (2N, l) int64
-    array, and a bound m above every label.  Equal grams, and only they,
-    get equal labels.  Dense ranks number at most 2N*l, so a pair of them
-    fits in int64 while 2N*l < 3 * 10^9."""
+    array, flat index row * l + start as in _readings, and a bound m above
+    every label.  Equal grams, and only they, get equal labels.  A pair
+    ranks its halves first: dense ranks number at most 2N*l, so a pair of
+    them fits in int64 while 2N*l < 3 * 10^9."""
     l = codes.shape[1] // 2
     if base**k < _KEY_LIMIT:
         keys = codes[:, :l].astype(np.int64)
@@ -110,9 +111,8 @@ def _labels(codes: np.ndarray, base: int, k: int) -> tuple[np.ndarray, int]:
             keys += codes[:, t : t + l]
         return keys, base**k
     h = (k + 1) // 2
-    keys, m = _labels(codes, base, h)
-    if m * m >= _KEY_LIMIT:
-        m = _dense_ranks(keys)
+    keys, _ = _labels(codes, base, h)
+    m = _dense_ranks(keys)
     tail = np.roll(keys, h - k, axis=1)  # the h-gram at cyclic start i + k - h
     keys *= m
     keys += tail
@@ -140,15 +140,9 @@ def _dense_ranks(keys: np.ndarray) -> int:
     return top + 1
 
 
-def _gram_keys(codes: np.ndarray, base: int, k: int) -> np.ndarray:
-    """The flat int64 labels of the 2N*l cyclic k-grams; flat index
-    row * l + start as in _readings."""
-    return _labels(codes, base, k)[0].reshape(-1)
-
-
 def _has_piece(codes: np.ndarray, base: int, k: int) -> bool:
     """Whether some length-k word has two distinct cyclic occurrences."""
-    keys = _gram_keys(codes, base, k)
+    keys = _labels(codes, base, k)[0].reshape(-1)
     keys.sort()
     return bool((keys[1:] == keys[:-1]).any())
 
@@ -191,7 +185,7 @@ def _witnesses(p: Presentation, codes: np.ndarray, k: int) -> list[tuple[Word, O
     the letters where the two halves overlap, so they differ first where
     the grams do.  Dense ranks keep the order of what they rank."""
     l, n = p.length, p.rank
-    keys = _gram_keys(codes, 2 * n, k)
+    keys = _labels(codes, 2 * n, k)[0].reshape(-1)
     order = np.argsort(keys, kind="stable")
     keys.sort()  # now keys[i] is the old keys[order[i]]
     same = keys[1:] == keys[:-1]

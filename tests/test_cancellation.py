@@ -18,7 +18,6 @@ from randgroups.cancellation import (
     NotSmallCancellation,
     _dehn_index,
     _dehn_walk,
-    _gram_keys,
     _has_piece,
     _prefix_sizes,
     _readings,
@@ -189,32 +188,29 @@ def _planted(n, l, arc, seed):
 
 @pytest.fixture
 def label_routes(monkeypatch):
-    """Record the route each _labels call takes: 'packed' (base-2n digits),
-    'pair' (the two half labels as they are) or 'ranked pair'."""
-    seen, stack = set(), []
-    labels, ranks = cancellation._labels, cancellation._dense_ranks
+    """Record the route of each outer _labels call by how many pair levels
+    sit above its packed labels: 'packed' (base-2n digits), 'pair of
+    packed halves' or 'pair of pair halves'."""
+    seen, depth = set(), [0]
+    labels = cancellation._labels
+    names = ("packed", "pair of packed halves", "pair of pair halves")
 
     def spy_labels(codes, base, k):
-        if stack:
-            stack[-1] = "pair"
-        stack.append("packed")
+        if base**k < cancellation._KEY_LIMIT:
+            seen.add(names[min(depth[0], 2)])
+        depth[0] += 1
         out = labels(codes, base, k)
-        seen.add(stack.pop())
+        depth[0] -= 1
         return out
 
-    def spy_ranks(keys):
-        stack[-1] = "ranked pair"
-        return ranks(keys)
-
     monkeypatch.setattr(cancellation, "_labels", spy_labels)
-    monkeypatch.setattr(cancellation, "_dense_ranks", spy_ranks)
     return seen
 
 
 def test_piece_kernel_is_exact_on_every_label_route(label_routes):
-    # ranks 2 and 3 pack up to k = 31 and 24 and rank the halves above;
+    # ranks 2 and 3 pack up to k = 31 and 24 and pair packed halves above;
     # ranks 5 and 26 pack up to 18 and 11, and past 36 and 22 pair halves
-    # that are already ranked pairs.  The planted pieces put the maximum on
+    # that are pairs themselves.  The planted pieces put the maximum on
     # both sides of each switch, at odd and even k.
     cases = {
         (2, 13): (4, 7, 13),
@@ -232,7 +228,7 @@ def test_piece_kernel_is_exact_on_every_label_route(label_routes):
                 assert _has_piece(codes, 2 * n, k) == expected, (p, k)
             _assert_matches_oracle(p)
             assert max_piece_length(p).max_piece_length >= arc
-    assert label_routes == {"packed", "pair", "ranked pair"}
+    assert label_routes == {"packed", "pair of packed halves", "pair of pair halves"}
 
 
 def test_dense_ranks_match_unique_across_slices(monkeypatch):
@@ -250,7 +246,7 @@ def test_piece_keys_are_one_int64_per_gram():
     for p in (_planted(2, 48, 40, 7), _planted(26, 30, 20, 8), sample_presentation(DensityParams(3, Fraction(1, 10), 40, 9))):
         codes = _readings(p)
         for k in range(1, p.length + 1):
-            keys = _gram_keys(codes, 2 * p.rank, k)
+            keys = cancellation._labels(codes, 2 * p.rank, k)[0].reshape(-1)
             assert keys.dtype == np.int64
             assert keys.shape == (2 * p.n_relators * p.length,)
             assert keys.min() >= 0
