@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -91,3 +92,56 @@ def test_params_validation():
         DensityParams(2, Fraction(3, 2), 5, 0)
     with pytest.raises(ValueError):
         DensityParams(2, Fraction(0), 0, 0)
+
+
+# Sampler output pinned byte for byte.  Every (rank, l, d) cell of the grid
+# below with at most SAMPLER_PIN_MAX_RELATORS relators is sampled from its
+# default stream and from stream(seed, cell, t) for t = 0, 1; the relator
+# digest covers to_text() of each presentation, the next-draw digest the
+# value of rng.integers(0, 2**32) right after each explicit-stream call, so
+# a sampler that draws more (or less) of the stream than it uses fails it.
+SAMPLER_PIN_RANKS = (2, 3, 4, 26)
+SAMPLER_PIN_LENGTHS = (1, 2, 9, 32, 50)
+SAMPLER_PIN_DENSITIES = (Fraction(0), Fraction(1, 10), Fraction(1, 5))
+SAMPLER_PIN_MAX_RELATORS = 300
+SAMPLER_PIN_RELATORS = "43520f681117d8255069d58b9664f79c21939767325015ea67c7bc436a084bd2"
+SAMPLER_PIN_NEXT_DRAWS = "65fdf8f2482c05167151101ebce98fda57e06739da0da5145b7eb542cbd164e7"
+# sha256 over the texts of 200 successive sample_reduced_word draws from
+# stream(2024), at ranks 2, 3 and 26 and lengths cycling through 1..40
+SAMPLER_PIN_WORDS = "ce63c6aa616f4af5827e9615c8ca61e3cf5b799219bcdf0cdbf7e6026d86c5d5"
+
+
+def _pinned_cells():
+    cells = []
+    for rank in SAMPLER_PIN_RANKS:
+        for l in SAMPLER_PIN_LENGTHS:
+            for d in SAMPLER_PIN_DENSITIES:
+                params = DensityParams(rank, d, l, 1000 + len(cells))
+                if relator_count(params) <= SAMPLER_PIN_MAX_RELATORS:
+                    cells.append(params)
+    return cells
+
+
+def test_sampler_output_is_pinned():
+    relators, draws = hashlib.sha256(), hashlib.sha256()
+    cells = _pinned_cells()
+    assert len(cells) == 46 and max(map(relator_count, cells)) == 243
+    for i, params in enumerate(cells):
+        default = sample_presentation(params)
+        relators.update(default.to_text().encode())
+        for rng in (stream(params.seed), stream(params.seed, i, 0), stream(params.seed, i, 1)):
+            p = sample_presentation(params, rng)
+            relators.update(p.to_text().encode())
+            draws.update(b"%d," % rng.integers(0, 2**32))
+        assert sample_presentation(params, stream(params.seed)) == default
+    assert relators.hexdigest() == SAMPLER_PIN_RELATORS
+    assert draws.hexdigest() == SAMPLER_PIN_NEXT_DRAWS
+
+
+def test_sample_reduced_word_output_is_pinned():
+    h = hashlib.sha256()
+    rng = stream(2024)
+    for i in range(200):
+        w = sample_reduced_word((2, 3, 26)[i % 3], 1 + i % 40, rng)
+        h.update(w.text().encode() + b"\n")
+    assert h.hexdigest() == SAMPLER_PIN_WORDS
