@@ -247,7 +247,10 @@ def _prefix_sizes(l: int) -> range:
     return range((l + 1) // 2, l // 2 + 2)
 
 
-@lru_cache(maxsize=256)
+# no caller interleaves more than two presentations, and a run that meets
+# each presentation once (a ball sweep) would otherwise keep up to 256
+# indexes it never looks up again
+@lru_cache(maxsize=16)
 def _dehn_index(p: Presentation) -> dict[tuple[int, ...], Word]:
     """Map each prefix of ceil(l/2) or floor(l/2) + 1 letters of a
     symmetrized element to that element.  Under C'(1/6) such a prefix is

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -48,7 +49,9 @@ class Word(tuple):
 
     def __new__(cls, letters: Iterable[int] = ()):
         w = super().__new__(cls, letters)
-        if any(not isinstance(x, int) or x == 0 for x in w):
+        # two C-level scans; the type scan runs first so that `0 in w`
+        # compares only ints (bools included, as isinstance allows)
+        if not all(map(isinstance, w, repeat(int))) or 0 in w:
             raise ValueError("letters must be nonzero integers")
         return w
 
@@ -81,7 +84,7 @@ class Word(tuple):
         return tuple.__new__(Word, tuple.__add__(self, other))
 
     def max_generator(self) -> int:
-        return max((abs(x) for x in self), default=0)
+        return max(map(abs, self), default=0)
 
 
 EMPTY = Word()
@@ -289,7 +292,8 @@ class Presentation:
     length: int
 
     def __init__(self, rank: int, relators: Iterable[Word] = (), length: int | None = None):
-        relators = tuple(Word(r) for r in relators)
+        # a Word was validated when it was made, and is immutable
+        relators = tuple(r if type(r) is Word else Word(r) for r in relators)
         if length is None:
             length = len(relators[0]) if relators else 0
         if rank < 2:
@@ -303,7 +307,7 @@ class Presentation:
                 raise ValueError(f"relator {r.text()!r} has length {len(r)}, expected {length}")
             if not r.is_reduced:
                 raise ValueError(f"relator {r.text()!r} is not freely reduced")
-            if not is_cyclically_reduced(r):
+            if len(r) >= 2 and r[0] == -r[-1]:
                 raise ValueError(f"relator {r.text()!r} is not cyclically reduced")
             if r.max_generator() > rank:
                 raise ValueError(f"relator {r.text()!r} uses a generator beyond rank {rank}")

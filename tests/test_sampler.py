@@ -92,6 +92,10 @@ def test_params_validation():
         DensityParams(2, Fraction(3, 2), 5, 0)
     with pytest.raises(ValueError):
         DensityParams(2, Fraction(0), 0, 0)
+    # a rank with no letters is refused before any relator is drawn
+    with pytest.raises(ValueError, match="rank must be <= 26"):
+        DensityParams(27, Fraction(0), 5, 1)
+    assert sample_presentation(DensityParams(26, Fraction(0), 5, 1)).rank == 26
 
 
 # Sampler output pinned byte for byte.  Every (rank, l, d) cell of the grid

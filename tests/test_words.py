@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +111,49 @@ def test_template_round_trip():
     t = TemplateWord.from_text("x1 ~y B a")
     assert TemplateWord.from_text(t.text()) == t
     assert t.variables() == ("x1", "y")
+
+
+def _accepts_by_generator_expression(letters) -> bool:
+    """Word validation as a per-letter generator expression, the reference
+    for Word.__new__'s C-level scans."""
+    return not any(not isinstance(x, int) or x == 0 for x in letters)
+
+
+def _max_generator_by_generator_expression(letters) -> int:
+    return max((abs(x) for x in letters), default=0)
+
+
+def _check_word_validation_parity(letters):
+    try:
+        w = Word(letters)
+    except ValueError:
+        assert not _accepts_by_generator_expression(letters)
+        return
+    assert _accepts_by_generator_expression(letters)
+    assert w == tuple(letters)
+    assert w.max_generator() == _max_generator_by_generator_expression(letters)
+
+
+@pytest.mark.parametrize("letters", [
+    [], [1, -2, 3], [True], [-True, 2], [2**70, -(2**70)], [26, -26],
+    [0], [1, 0], [False], [1, False], [1.0], [1, 1.5], [float("nan")], ["a"],
+    [None], [np.int64(1)], [np.int64(0)], [1, np.int64(-3)],
+])
+def test_word_validation_matches_generator_expression(letters):
+    """True is accepted; 0, False, 1.0, "a" and np.int64(1) are rejected."""
+    _check_word_validation_parity(letters)
+
+
+_mixed_letters = st.one_of(
+    st.integers(min_value=-30, max_value=30), st.booleans(), st.floats(), st.none(),
+    st.text(max_size=2), st.integers(min_value=-30, max_value=30).map(np.int64),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_mixed_letters, max_size=8) | st.lists(letters, max_size=8))
+def test_word_validation_parity_on_mixed_letters(letters):
+    _check_word_validation_parity(letters)
 
 
 def test_presentation_rejects_bad_relators():
