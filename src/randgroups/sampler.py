@@ -18,10 +18,10 @@ broadcast once per word.  numpy draws each bounded integer on its own,
 by Lemire's method on the generator's next 32-bit output (Lemire, *Fast
 random integer generation in an interval*, ACM TOMACS 29, 2019), so one
 call over the array reads the stream exactly as the same draws made
-word by word would.  A round draws only as many words as are still missing and
-every one of them is used or rejected, so the stream is never read past
-the last accepted relator and a caller's rng ends where word-by-word
-sampling would leave it.  Draws become letters through a next-letter
+word by word would.  A round draws only as many words as are still
+missing, and each of them is kept or rejected, so the stream is never
+read past the last accepted relator and a caller's rng ends where
+word-by-word sampling would leave it.  Draws become letters through a next-letter
 table built once per round: after letter g the draw c picks letter c of
 the signed alphabet with -g left out.
 """

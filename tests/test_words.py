@@ -140,8 +140,14 @@ def _check_word_validation_parity(letters):
     [None], [np.int64(1)], [np.int64(0)], [1, np.int64(-3)],
 ])
 def test_word_validation_matches_generator_expression(letters):
-    """True is accepted; 0, False, 1.0, "a" and np.int64(1) are rejected."""
     _check_word_validation_parity(letters)
+
+
+def test_word_accepts_true_and_rejects_zero_and_non_ints():
+    assert Word([True]) == (1,)
+    for bad in (0, False, 1.0, "a", np.int64(1)):
+        with pytest.raises(ValueError, match="letters must be nonzero integers"):
+            Word([1, bad])
 
 
 _mixed_letters = st.one_of(
