@@ -157,28 +157,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _content_lines(path) -> list[str]:
+    """The lines of a text file with # comments and blank lines removed."""
+    with open(path) as f:
+        return [line for line in (raw.split("#", 1)[0].strip() for raw in f) if line]
+
+
 def _cmd_unify(args) -> int:
-    with open(args.system) as f:
-        equations = [TemplateWord.from_text(line) for line in f if line.strip() and not line.startswith("#")]
+    equations = [TemplateWord.from_text(line) for line in _content_lines(args.system)]
     lengths = {}
-    with open(args.lengths) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, val = (x.strip() for x in line.split("=", 1))
-            lengths[name] = int(val)
+    for line in _content_lines(args.lengths):
+        name, val = (x.strip() for x in line.split("=", 1))
+        lengths[name] = int(val)
     layout = build_layout(equations, lengths)
     alphabet = unify_positions(layout)
     boundary = []
     if args.boundary:
-        with open(args.boundary) as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                lo, hi = (int(x) for x in line.split())
-                boundary.append((lo, hi))
+        for line in _content_lines(args.boundary):
+            lo, hi = (int(x) for x in line.split())
+            boundary.append((lo, hi))
     out = {
         "pieces": [
             {"len": p.length, "occurrences": [[s, g] for s, g in p.occurrences]}

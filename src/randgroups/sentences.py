@@ -498,9 +498,6 @@ def extend_solution(T: TriangularSystem, assignment: dict[str, Word], original_v
     values, and untouched variables default to the identity."""
     a = dict(assignment)
 
-    def value_of(template: TemplateWord, env) -> Word:
-        return substitute(template, env)
-
     # defining values for z's still unset (possible when z got pruned away)
     def ensure(name):
         if name in a:
@@ -508,7 +505,7 @@ def extend_solution(T: TriangularSystem, assignment: dict[str, Word], original_v
         if name in T.defining:
             for dep, _ in T.defining[name]:
                 ensure(dep)
-            a[name] = value_of(T.defining[name], a)
+            a[name] = substitute(T.defining[name], a)
         else:
             a[name] = Word()
 
@@ -522,7 +519,7 @@ def extend_solution(T: TriangularSystem, assignment: dict[str, Word], original_v
         X = TemplateWord(tuple(eq[:i]))
         Y = TemplateWord(tuple(eq[i + 1 :]))
         # X * s^sign * Y = 1  =>  s^sign = X^-1 Y^-1
-        value = free_reduce(invert(value_of(X, a)).concat(invert(value_of(Y, a))))
+        value = free_reduce(invert(substitute(X, a)).concat(invert(substitute(Y, a))))
         a[single] = value if sign == 1 else invert(value)
     for v in original_vars:
         ensure(v)

@@ -3,16 +3,21 @@ degrees-of-freedom probability bounds.
 
 A layout places occurrence segments on one master interval J and records
 doubles: orientation-aware identifications between equal-length position
-ranges.  Unifying the unit positions (union-find with a sign on every
-edge) yields the piece alphabet: connected components of positions that
-must carry the same letter, merged further when two pieces only ever
-occur adjacently.  Decorations assign pieces to boundary intervals;
-every piece of a decoration occurs at least twice, and pre-decorations
-record the singletons.
+ranges.  build_layout is the one placement of segments, and
+unify_positions the one path from doubles to a piece alphabet: system
+layouts, parametric layouts (ParametricSystem.to_layout) and relator
+decorations (one segment per relator) all go through both.  Unifying
+the unit positions (union-find with a sign on every edge) gives the
+connected components of positions that must carry the same letter; one
+chain pass then merges every maximal chain of pieces that only ever
+occur adjacently into one piece.  Decorations assign pieces to boundary
+intervals; every piece of a decoration occurs at least twice, and
+pre-decorations record the singletons.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -61,10 +66,6 @@ class IntervalLayout:
     def total(self) -> int:
         return sum(s.length for s in self.segments)
 
-    def segment_range(self, i: int) -> tuple[int, int]:
-        s = self.segments[i]
-        return s.start, s.end
-
     def walls(self) -> set[int]:
         """Positions that start a segment; adjacency never crosses them."""
         return {s.start for s in self.segments}
@@ -73,7 +74,8 @@ class IntervalLayout:
 def build_layout(system, lengths: dict[str, int], extra_doubles: Iterable[Double] = ()) -> IntervalLayout:
     """Left-to-right placement of every occurrence, one segment each.
 
-    system: a TriangularSystem or an iterable of TemplateWords.  Doubles
+    system: a TriangularSystem or an iterable of equations, each a
+    sequence of (symbol, sign) pairs such as a TemplateWord.  Doubles
     pair consecutive occurrences of each variable; opposite occurrence
     signs give a reversed-orientation double.  Zero-length symbols are
     omitted.
@@ -179,8 +181,8 @@ class PieceAlphabet:
 
 
 def unify_positions(layout: IntervalLayout) -> PieceAlphabet:
-    """Union-find over unit positions with orientation tracking, then
-    adjacent-merge of piece pairs that only ever occur together.
+    """Union-find over unit positions with orientation tracking, then one
+    chain pass merging pieces that only ever occur together.
 
     Raises UnificationConflict when some position is forced equal to its
     own reverse.
@@ -202,7 +204,7 @@ def unify_positions(layout: IntervalLayout) -> PieceAlphabet:
         root, s = uf.find(pos)
         comp.setdefault(root, []).append((pos, s))
     pieces = []
-    for members in comp.values():  # in order of first position, as after a merge
+    for members in comp.values():
         # normalize so the first member reads forward
         flip = members[0][1]
         pieces.append(Piece(1, [(pos, s * flip) for pos, s in members]))
@@ -211,95 +213,40 @@ def unify_positions(layout: IntervalLayout) -> PieceAlphabet:
 
 
 def _adjacent_merge(pieces: list[Piece], total: int, walls: set[int]) -> PieceAlphabet:
-    """Merge piece pairs (p, q) that only ever occur as the block p q (or
-    its reverse q^-1 p^-1), repeating to a fixpoint.
+    """Merge pieces that only ever occur as a block, in one chain pass.
 
-    Adjacency never crosses a segment wall.  The merge works on the run
-    sequence: every occurrence of every piece is one run tiling J.
+    The runs (one per occurrence) tile J.  Two abutting runs with the same
+    sign, not split by a segment wall, read p q: p is the earlier piece
+    when the sign is forward, the later one when reversed.  p links to
+    q != p when every run of p and every run of q lies in a pair reading
+    p q.
+    Links form disjoint paths; each maximal path p1 -> ... -> pk becomes
+    one piece, whose reversed occurrences start at pk's run.  Merging a
+    linked pair keeps every other link, so this equals merging linked
+    pairs one at a time to a fixpoint.
     """
+    runs = sorted((start, pi, sign) for pi, piece in enumerate(pieces) for start, sign in piece.occurrences)
+    reads = Counter()
+    for (_, p1, g1), (s2, p2, g2) in zip(runs, runs[1:]):
+        if g1 == g2 and p1 != p2 and s2 not in walls:
+            reads[(p1, p2) if g1 > 0 else (p2, p1)] += 1
+    mult = [piece.multiplicity() for piece in pieces]
+    link = {p: q for (p, q), c in reads.items() if c == mult[p] == mult[q]}
 
-    def runs_of(pieces):
-        runs = []
-        for pi, piece in enumerate(pieces):
-            for start, sign in piece.occurrences:
-                runs.append((start, piece.length, pi, sign))
-        runs.sort()
-        return runs
-
-    def valid_pair(runs, p, q):
-        """All occurrences of p and q pair up as p(+)q(+) or q(-)p(-)."""
-        if p == q:
-            return False
-        by_piece = {}
-        for i, (_, _, pi, _) in enumerate(runs):
-            by_piece.setdefault(pi, []).append(i)
-
-        def adjacent(i, j):
-            s1, l1, _, _ = runs[i]
-            s2, _, _, _ = runs[j]
-            return s2 == s1 + l1 and s2 not in walls
-
-        for i in by_piece.get(p, []):
-            _, _, _, sign = runs[i]
-            if sign > 0:
-                if i + 1 >= len(runs) or runs[i + 1][2] != q or runs[i + 1][3] <= 0:
-                    return False
-                if not adjacent(i, i + 1):
-                    return False
-            else:
-                if i - 1 < 0 or runs[i - 1][2] != q or runs[i - 1][3] >= 0:
-                    return False
-                if not adjacent(i - 1, i):
-                    return False
-        for j in by_piece.get(q, []):
-            _, _, _, sign = runs[j]
-            if sign > 0:
-                if j - 1 < 0 or runs[j - 1][2] != p or runs[j - 1][3] <= 0:
-                    return False
-                if not adjacent(j - 1, j):
-                    return False
-            else:
-                if j + 1 >= len(runs) or runs[j + 1][2] != p or runs[j + 1][3] >= 0:
-                    return False
-                if not adjacent(j, j + 1):
-                    return False
-        return True
-
-    while True:
-        runs = runs_of(pieces)
-        merged = None
-        seen_pairs = set()
-        for i in range(len(runs) - 1):
-            s1, l1, p1, g1 = runs[i]
-            s2, _, p2, g2 = runs[i + 1]
-            if s2 != s1 + l1 or s2 in walls:
-                continue
-            if g1 > 0 and g2 > 0:
-                cand = (p1, p2)
-            elif g1 < 0 and g2 < 0:
-                cand = (p2, p1)
-            else:
-                continue
-            if cand in seen_pairs:
-                continue
-            seen_pairs.add(cand)
-            if valid_pair(runs, cand[0], cand[1]):
-                merged = cand
-                break
-        if merged is None:
-            break
-        p, q = merged
-        P, Q = pieces[p], pieces[q]
-        new_occs = []
-        for start, sign in P.occurrences:
-            if sign > 0:
-                new_occs.append((start, 1))
-            else:
-                new_occs.append((start - Q.length, -1))
-        new_piece = Piece(P.length + Q.length, sorted(new_occs))
-        pieces = [x for i, x in enumerate(pieces) if i not in (p, q)] + [new_piece]
-        pieces.sort(key=lambda x: x.occurrences[0])
-    return PieceAlphabet(pieces, total)
+    tails = set(link.values())
+    merged = []
+    for p, head in enumerate(pieces):
+        if p in tails:
+            continue
+        length, q = head.length, p
+        while q in link:
+            q = link[q]
+            length += pieces[q].length
+        tail = length - head.length
+        occurrences = [(start if sign > 0 else start - tail, sign) for start, sign in head.occurrences]
+        merged.append(Piece(length, sorted(occurrences)))
+    merged.sort(key=lambda x: x.occurrences[0])
+    return PieceAlphabet(merged, total)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +295,16 @@ def _boundary_intervals(alphabet: PieceAlphabet, ranges) -> list[tuple[int, int,
     return out
 
 
+def _multiplicity(intervals) -> dict[int, int]:
+    """piece -> number of intervals it labels."""
+    return dict(Counter(pi for _, _, pi, _ in intervals))
+
+
 def boundary_decoration(alphabet: PieceAlphabet, boundary_ranges) -> Decoration | PreDecoration:
     """Restrict piece labels to the boundary; a Decoration when every
     boundary piece occurs at least twice there, else a PreDecoration."""
     intervals = _boundary_intervals(alphabet, boundary_ranges)
-    mult: dict[int, int] = {}
-    for _, _, pi, _ in intervals:
-        mult[pi] = mult.get(pi, 0) + 1
+    mult = _multiplicity(intervals)
     singles = sorted(p for p, m in mult.items() if m < 2)
     if singles:
         return PreDecoration(intervals, mult, singles)
@@ -381,10 +331,7 @@ def prune_singletons(pre, component_of_range):
 
     removed: list[int] = []
     while True:
-        mult: dict[int, int] = {}
-        for _, _, pi, _ in intervals:
-            mult[pi] = mult.get(pi, 0) + 1
-        singles = sorted(p for p, m in mult.items() if m < 2)
+        singles = sorted(p for p, m in _multiplicity(intervals).items() if m < 2)
         if not singles:
             break
         start = min(s for s, _, pi, _ in intervals if pi == singles[0])
@@ -394,10 +341,7 @@ def prune_singletons(pre, component_of_range):
     all_components = {cid for _, cid in ranges}
     if all_components and all_components <= set(removed):
         return AllRemoved(), removed
-    mult = {}
-    for _, _, pi, _ in intervals:
-        mult[pi] = mult.get(pi, 0) + 1
-    return Decoration(intervals, mult), removed
+    return Decoration(intervals, _multiplicity(intervals)), removed
 
 
 @dataclass
@@ -429,49 +373,37 @@ def relator_decoration(
     """Unify positions of the relator interval J1 = n_rel * length.
 
     boundary_piece_occurrences: per piece, its occurrences written in
-    relator coordinates: a list of lists of (relator, offset, sign).
+    relator coordinates: a list of lists of (relator, offset, sign, length).
     internal_matchings: ((rel_i, off_i), (rel_j, off_j), length, reversed)
     identifications from shared internal edges.
 
     Returns a RelatorDecoration when every resulting piece occurs at
     least twice, else a SingletonWitness for the first singleton.
     """
-    total = n_rel * length
-    uf = _SignedUF(total)
+    segments = [Segment(f"r{r}", 1, length, r * length) for r in range(n_rel)]
+    doubles: list[Double] = []
 
-    def pos(rel, off):
-        if not (0 <= rel < n_rel and 0 <= off < length):
+    def span(rel, off, L):
+        """Whether a span adds any position; raises when a position it
+        covers lies outside the relators."""
+        if L > 0 and not (0 <= rel < n_rel and 0 <= off and off + L <= length):
             raise ValueError("relator coordinate out of range")
-        return rel * length + off
+        return L > 0
 
     for occs in boundary_piece_occurrences:
-        # occurrences of one boundary piece: (relator, offset, sign, length)
         if len(occs) < 2:
             continue
         r0, o0, s0, L0 = occs[0]
         for r1, o1, s1, L1 in occs[1:]:
             if L1 != L0:
                 raise ValueError("occurrences of one piece differ in length")
-            for t in range(L0):
-                a = pos(r0, o0 + t) if s0 > 0 else pos(r0, o0 + L0 - 1 - t)
-                b = pos(r1, o1 + t) if s1 > 0 else pos(r1, o1 + L0 - 1 - t)
-                uf.union(a, b, 1 if s0 == s1 else -1)
+            if span(r0, o0, L0) and span(r1, o1, L0):
+                doubles.append(Double(r0, o0, r1, o1, L0, s0 != s1))
     for (ri, oi), (rj, oj), L, rev in internal_matchings:
-        for t in range(L):
-            a = pos(ri, oi + t)
-            b = pos(rj, oj + (L - 1 - t if rev else t))
-            uf.union(a, b, -1 if rev else 1)
+        if span(ri, oi, L) and span(rj, oj, L):
+            doubles.append(Double(ri, oi, rj, oj, L, rev))
 
-    comp: dict[int, list[tuple[int, int]]] = {}
-    for p in range(total):
-        root, s = uf.find(p)
-        comp.setdefault(root, []).append((p, s))
-    pieces = []
-    for members in comp.values():  # in order of first position, as after a merge
-        flip = members[0][1]
-        pieces.append(Piece(1, [(p, s * flip) for p, s in members]))
-    walls = {r * length for r in range(n_rel)}
-    alphabet = _adjacent_merge(pieces, total, walls)
+    alphabet = unify_positions(IntervalLayout(segments, doubles))
     for pi, piece in enumerate(alphabet.pieces):
         if piece.multiplicity() < 2:
             start = piece.occurrences[0][0]
@@ -510,59 +442,26 @@ class ParametricSystem:
         return tuple(self.sides[(j, k)])
 
     def to_layout(self) -> IntervalLayout:
-        """All sides in slot order; doubles from repeated h-symbols and
+        """All sides in slot order; doubles from repeated symbols and
         coincidence identifications."""
-        segments: list[Segment] = []
-        cursor = 0
-        seg_of_part: dict[tuple[int, int, int], int] = {}
-        occ_of_symbol: dict[str, list[int]] = {}
+        slots = sorted(self.sides)
         slot_span: dict[tuple[int, int], tuple[int, int]] = {}
-        for (j, k) in sorted(self.sides):
-            first = cursor
-            for idx, (name, sign) in enumerate(self.sides[(j, k)]):
-                L = self.lengths[name]
-                if L == 0:
-                    continue
-                seg_of_part[(j, k, idx)] = len(segments)
-                occ_of_symbol.setdefault(name, []).append(len(segments))
-                segments.append(Segment(name, sign, L, cursor))
-                cursor += L
-            slot_span[(j, k)] = (first, cursor)
-        doubles: list[Double] = []
-        for name, occs in occ_of_symbol.items():
-            for a, b in zip(occs, occs[1:]):
-                sa, sb = segments[a], segments[b]
-                doubles.append(Double(a, 0, b, 0, sa.length, sa.sign != sb.sign))
-        # coincidences: identify whole slot ranges position-by-position
+        cursor = 0
+        for slot in slots:
+            width = sum(self.lengths[name] for name, _ in self.sides[slot])
+            slot_span[slot] = (cursor, cursor + width)
+            cursor += width
+        # a coincidence identifies two whole slot ranges; its offsets count
+        # from segment 0, which starts at position 0
+        coincidences = []
         for slot_a, slot_b, same in self.coincidences:
             (a_lo, a_hi) = slot_span[slot_a]
             (b_lo, b_hi) = slot_span[slot_b]
             if a_hi - a_lo != b_hi - b_lo:
                 raise ValueError(f"coincident slots {slot_a} and {slot_b} differ in length")
-            # express as one double on synthetic segment bounds: reuse unit
-            # doubles via a pseudo segment pair is not possible here, so
-            # emit per-position doubles through the first segments
-            doubles.append(_span_double(segments, a_lo, b_lo, a_hi - a_lo, not same))
-        return IntervalLayout(segments, doubles)
-
-
-def _span_double(segments, a_start, b_start, length, reversed_):
-    """A Double referring to absolute positions via synthetic offsets.
-
-    Doubles address positions through a segment; find the segments
-    containing the span starts and use offsets relative to them.  The
-    span may cross segment boundaries; offsets remain valid because
-    positions are absolute underneath.
-    """
-    def locate(pos):
-        for i, s in enumerate(segments):
-            if s.start <= pos < s.end:
-                return i, pos - s.start
-        raise ValueError("position outside layout")
-
-    ia, oa = locate(a_start)
-    ib, ob = locate(b_start)
-    return Double(ia, oa, ib, ob, length, reversed_)
+            if a_hi > a_lo:
+                coincidences.append(Double(0, a_lo, 0, b_lo, a_hi - a_lo, not same))
+        return build_layout([self.sides[slot] for slot in slots], self.lengths, coincidences)
 
 
 def default_shape(T: TriangularSystem, lengths: dict[str, int]) -> dict[tuple[int, int], SideShape]:

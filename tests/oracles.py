@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 
+from randgroups.unification import Piece, PieceAlphabet
 from randgroups.words import Word, Presentation, free_reduce, invert
 
 
@@ -216,6 +217,98 @@ def transitive_closure_unify(n_positions: int, relations):
                     raise ValueError("orientation conflict: a = a^-1 forced")
         comp += 1
     return labels, signs
+
+
+def adjacent_merge_oracle(pieces: list[Piece], total: int, walls: set[int]) -> PieceAlphabet:
+    """Merge piece pairs (p, q) that only ever occur as the block p q (or
+    its reverse q^-1 p^-1), repeating to a fixpoint.
+
+    Adjacency never crosses a segment wall.  The merge works on the run
+    sequence: every occurrence of every piece is one run tiling J.
+    """
+
+    def runs_of(pieces):
+        runs = []
+        for pi, piece in enumerate(pieces):
+            for start, sign in piece.occurrences:
+                runs.append((start, piece.length, pi, sign))
+        runs.sort()
+        return runs
+
+    def valid_pair(runs, p, q):
+        """All occurrences of p and q pair up as p(+)q(+) or q(-)p(-)."""
+        if p == q:
+            return False
+        by_piece = {}
+        for i, (_, _, pi, _) in enumerate(runs):
+            by_piece.setdefault(pi, []).append(i)
+
+        def adjacent(i, j):
+            s1, l1, _, _ = runs[i]
+            s2, _, _, _ = runs[j]
+            return s2 == s1 + l1 and s2 not in walls
+
+        for i in by_piece.get(p, []):
+            _, _, _, sign = runs[i]
+            if sign > 0:
+                if i + 1 >= len(runs) or runs[i + 1][2] != q or runs[i + 1][3] <= 0:
+                    return False
+                if not adjacent(i, i + 1):
+                    return False
+            else:
+                if i - 1 < 0 or runs[i - 1][2] != q or runs[i - 1][3] >= 0:
+                    return False
+                if not adjacent(i - 1, i):
+                    return False
+        for j in by_piece.get(q, []):
+            _, _, _, sign = runs[j]
+            if sign > 0:
+                if j - 1 < 0 or runs[j - 1][2] != p or runs[j - 1][3] <= 0:
+                    return False
+                if not adjacent(j - 1, j):
+                    return False
+            else:
+                if j + 1 >= len(runs) or runs[j + 1][2] != p or runs[j + 1][3] >= 0:
+                    return False
+                if not adjacent(j, j + 1):
+                    return False
+        return True
+
+    while True:
+        runs = runs_of(pieces)
+        merged = None
+        seen_pairs = set()
+        for i in range(len(runs) - 1):
+            s1, l1, p1, g1 = runs[i]
+            s2, _, p2, g2 = runs[i + 1]
+            if s2 != s1 + l1 or s2 in walls:
+                continue
+            if g1 > 0 and g2 > 0:
+                cand = (p1, p2)
+            elif g1 < 0 and g2 < 0:
+                cand = (p2, p1)
+            else:
+                continue
+            if cand in seen_pairs:
+                continue
+            seen_pairs.add(cand)
+            if valid_pair(runs, cand[0], cand[1]):
+                merged = cand
+                break
+        if merged is None:
+            break
+        p, q = merged
+        P, Q = pieces[p], pieces[q]
+        new_occs = []
+        for start, sign in P.occurrences:
+            if sign > 0:
+                new_occs.append((start, 1))
+            else:
+                new_occs.append((start - Q.length, -1))
+        new_piece = Piece(P.length + Q.length, sorted(new_occs))
+        pieces = [x for i, x in enumerate(pieces) if i not in (p, q)] + [new_piece]
+        pieces.sort(key=lambda x: x.occurrences[0])
+    return PieceAlphabet(pieces, total)
 
 
 def brute_all_paths(adj, dist, u: int, v: int):

@@ -84,6 +84,12 @@ def test_unify_command(tmp_path, capsys):
     assert data["decoration_status"] == "decoration"
     assert data["degrees_of_freedom"] == 2
     assert data["prop_a_bound"] > 0
+    # the system file takes # comments as the lengths and boundary files do
+    system.write_text("x x   # x twice\n  # note\n")
+    assert main(["unify", "--system", str(system), "--lengths", str(lengths),
+                 "--boundary", str(boundary),
+                 "--n-rel", "1", "--ell", "16", "--d", "1/4"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 def test_mc_command(tmp_path):

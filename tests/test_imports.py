@@ -2,9 +2,11 @@
 
 The project configures no linter, so this test parses each module of
 src/randgroups with ast and fails on an imported name that the module
-never reads (a name listed in __all__ counts as read), and on a
+never reads (a name listed in __all__ counts as read), on a
 module-level private function or class that no statement of any module
-but its own definition refers to.
+but its own definition refers to, and on a non-dunder method of a
+library class that no statement of src/, tests/, scripts/ or bench/
+reads outside its own definition.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "randgroups"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "randgroups"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,3 +91,46 @@ def test_unreferenced_private_definitions_finds_dead_helpers():
 def test_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def unreferenced_methods(library: dict[str, str], users: list[str]) -> list[str]:
+    """module:Class.method for each non-dunder method of a top-level
+    class of the library modules that no statement of the library or of
+    the user sources reads, its own definition aside."""
+    defined, read = [], set()
+    for source in users:
+        read.update(_names_read(ast.parse(source)))
+    for module, source in library.items():
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, ast.ClassDef):
+                read.update(_names_read(stmt))
+                continue
+            for sub in stmt.decorator_list + stmt.bases + stmt.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("__"):
+                    defined.append((module, stmt.name, sub.name))
+                    read.update(_names_read(sub) - {sub.name})
+                else:
+                    read.update(_names_read(sub))
+    return sorted(f"{module}:{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def test_unreferenced_methods_finds_dead_methods():
+    library = {
+        "a": (
+            "class A:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    def dead(self):\n        return self.dead()\n"
+            "    @property\n    def size(self):\n        return 0\n"
+            "def f(a):\n    return a.size\n"
+        ),
+    }
+    users = ["from a import A\nA().used()\n"]
+    assert unreferenced_methods(library, users) == ["a:A.dead"]
+
+
+def test_no_unreferenced_methods():
+    library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for d in ("tests", "scripts", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_methods(library, users) == []

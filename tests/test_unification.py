@@ -11,6 +11,7 @@ from randgroups.unification import (
     Segment,
     Double,
     IntervalLayout,
+    Piece,
     build_layout,
     unify_positions,
     UnificationConflict,
@@ -29,7 +30,7 @@ from randgroups.unification import (
     fulfill_probability_bound,
     _SignedUF,
 )
-from oracles import transitive_closure_unify
+from oracles import adjacent_merge_oracle, transitive_closure_unify
 
 
 def T(s):
@@ -313,6 +314,125 @@ def test_relator_decoration_multiplicity_tally():
     assert sum(p.length * p.multiplicity() for p in out.alphabet.pieces) == 6
 
 
+def test_relator_decoration_checks_coordinates_before_unifying():
+    # the first matching glues position 0 to its own reverse, the second
+    # leaves the relators: the range error is raised, not the conflict
+    with pytest.raises(ValueError) as e:
+        relator_decoration(1, 2, [], [((0, 0), (0, 0), 1, True), ((0, 1), (5, 0), 1, False)])
+    assert type(e.value) is ValueError
+    assert str(e.value) == "relator coordinate out of range"
+    # a span of length 0 adds nothing and is not checked
+    out = relator_decoration(1, 2, [], [((0, 0), (0, 1), 1, False), ((7, 9), (0, 0), 0, False)])
+    assert [(p.length, p.occurrences) for p in out.alphabet.pieces] == [(1, [(0, 1), (1, 1)])]
+
+
+# -- the chain merge against the pairwise merge oracle ------------------------
+
+
+def oracle_alphabet(layout):
+    """Unit pieces from the closure oracle, merged by the pairwise oracle;
+    raises ValueError on a forced a = a^-1."""
+    labels, signs = transitive_closure_unify(layout.total, layout_relations(layout))
+    classes = {}
+    for pos, (c, s) in enumerate(zip(labels, signs)):
+        classes.setdefault(c, []).append((pos, s))  # the first member reads forward
+    units = [Piece(1, members) for members in classes.values()]
+    return adjacent_merge_oracle(units, layout.total, layout.walls())
+
+
+def as_pairs(alphabet):
+    return [(p.length, p.occurrences) for p in alphabet.pieces]
+
+
+def criterion_08_layouts(rng, count):
+    """build_layout layouts in criterion 08's style (random signs give
+    reversed doubles, every occurrence its own segment), some with a
+    random extra double that may cross segment walls."""
+    out = []
+    while len(out) < count:
+        n_vars = int(rng.integers(1, 6))
+        names = [f"x{i+1}" for i in range(n_vars)]
+        lengths = {v: int(rng.integers(0, 8)) for v in names}
+        eqs = [
+            TemplateWord(tuple(
+                (names[int(rng.integers(0, n_vars))], 1 if rng.integers(0, 2) else -1)
+                for _ in range(int(rng.integers(1, 4)))
+            ))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        layout = build_layout(eqs, lengths)
+        if layout.total == 0 or layout.total > 200:
+            continue
+        if rng.integers(0, 3) == 0:
+            L = int(rng.integers(1, layout.total + 1))
+            a, b = (int(rng.integers(0, layout.total - L + 1)) for _ in range(2))
+            layout.doubles.append(Double(0, a, 0, b, L, bool(rng.integers(0, 2))))
+        out.append(layout)
+    return out
+
+
+def criterion_09_gluings(rng, count):
+    """(n_rel, length, matchings) drawn as criterion 09 draws them."""
+    out = []
+    for _ in range(count):
+        n_rel = int(rng.integers(1, 4))
+        length = 2 * int(rng.integers(2, 7))
+        half = length // 2
+        stretches = [(r, o) for r in range(n_rel) for o in (0, half)]
+        order = list(rng.permutation(len(stretches)))
+        matchings = []
+        for i in range(0, len(stretches) - 1, 2):
+            matchings.append((stretches[order[i]], stretches[order[i + 1]], half, bool(rng.integers(0, 2))))
+        if len(stretches) % 2:
+            matchings.append((stretches[order[-1]], stretches[order[0]], half, bool(rng.integers(0, 2))))
+        for _ in range(int(rng.integers(0, 3))):
+            L = int(rng.integers(1, half + 1))
+            ra, rb = int(rng.integers(0, n_rel)), int(rng.integers(0, n_rel))
+            oa = int(rng.integers(0, length - L + 1))
+            ob = int(rng.integers(0, length - L + 1))
+            matchings.append(((ra, oa), (rb, ob), L, bool(rng.integers(0, 2))))
+        out.append((n_rel, length, matchings))
+    return out
+
+
+def test_chain_merge_matches_pairwise_merge_oracle():
+    rng = stream(1212)
+    compared = merged = 0
+    for layout in criterion_08_layouts(rng, 2000):
+        try:
+            expected = oracle_alphabet(layout)
+        except ValueError:
+            with pytest.raises(UnificationConflict):
+                unify_positions(layout)
+            continue
+        got = unify_positions(layout)
+        assert as_pairs(got) == as_pairs(expected)
+        compared += 1
+        merged += any(p.length > 1 for p in got.pieces)
+    for n_rel, length, matchings in criterion_09_gluings(rng, 500):
+        layout = IntervalLayout(
+            [Segment("r", 1, length, r * length) for r in range(n_rel)],
+            [Double(ri, oi, rj, oj, L, rev) for (ri, oi), (rj, oj), L, rev in matchings],
+        )
+        try:
+            expected = oracle_alphabet(layout)
+        except ValueError:
+            with pytest.raises(UnificationConflict):
+                relator_decoration(n_rel, length, [], matchings)
+            continue
+        out = relator_decoration(n_rel, length, [], matchings)
+        singles = [pi for pi, p in enumerate(expected.pieces) if p.multiplicity() < 2]
+        if singles:
+            start = expected.pieces[singles[0]].occurrences[0][0]
+            assert out == SingletonWitness(singles[0], start // length, start % length)
+        else:
+            assert as_pairs(out.alphabet) == as_pairs(expected)
+        compared += 1
+        merged += any(p.length > 1 for p in expected.pieces)
+    # most inputs are conflict-free and most of those merge some pieces
+    assert compared >= 1500 and merged >= compared // 2
+
+
 # -- parametric systems -------------------------------------------------------
 
 
@@ -419,6 +539,15 @@ def test_parametric_layout_h_doubles():
 
     counts = Counter(s.symbol for s in layout.segments if s.symbol.startswith(("h", "hb")))
     assert all(c == 2 for c in counts.values())
+
+
+@pytest.mark.parametrize("equation", ["y x x", "x x y"])
+def test_parametric_layout_zero_length_repeated_variable(equation):
+    T_ = tri([tuple((name, 1) for name in equation.split())])
+    ps = build_parametric_system(T_, lengths={"x": 0, "y": 3})
+    assert unify_positions(ps.to_layout()).degrees_of_freedom() == 3
+    ps = build_parametric_system(T_, lengths={"x": 0, "y": 0})
+    assert unify_positions(ps.to_layout()).pieces == []
 
 
 # -- bounds -------------------------------------------------------------------
