@@ -322,30 +322,27 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
 # -- reliability ---------------------------------------------------------------
 
 
-def pair_reliable(ball: CayleyBall, u: int, v: int, duv: int | None = None) -> bool:
-    """Containment criterion: d(1,u) + d(1,v) + d(u,v) <= 2R.
+def pair_reliable(ball: CayleyBall, u: int, v: int, duv: int) -> bool:
+    """Containment criterion: d(1,u) + d(1,v) + d(u,v) <= 2R, duv being
+    the in-ball distance d(u,v).
 
     Any vertex x on a true geodesic [u,v] satisfies d(1,x) <= (d(1,u) +
     d(1,v) + d(u,v)) / 2, so under this bound every geodesic between u
     and v lies inside the ball and in-ball distances are exact.  (Using
     the in-ball d(u,v) here is sound: it only overestimates.)
     """
-    if duv is None:
-        duv = int(ball.bfs_from(u)[v])
-        if duv < 0:
-            return False
-    R = ball.radius
-    d1u, d1v = int(ball.dist[u]), int(ball.dist[v])
-    return d1u + d1v + duv <= 2 * R
+    return int(ball.dist[u]) + int(ball.dist[v]) + duv <= 2 * ball.radius
 
 
-def all_geodesics(
-    ball: CayleyBall, u: int, v: int, max_count: int = 100_000
-) -> list[list[int]]:
+MAX_GEODESICS = 100_000
+
+
+def all_geodesics(ball: CayleyBall, u: int, v: int) -> list[list[int]]:
     """Every geodesic vertex path from u to v inside the ball.
 
     The pair must be reliable, so the in-ball enumeration is complete for
-    the group.  Paths come out sorted by their letter sequences.
+    the group.  Paths come out sorted by their letter sequences; more
+    than MAX_GEODESICS of them raise RuntimeError.
     """
     dist_u = ball.dist if u == 0 else ball.bfs_from(u)
     duv = int(dist_u[v])
@@ -362,7 +359,7 @@ def all_geodesics(
         dx = int(dist_u[x])
         if x == u:
             paths.append(list(reversed(partial)))
-            if len(paths) > max_count:
+            if len(paths) > MAX_GEODESICS:
                 raise RuntimeError("geodesic count exceeds budget")
             continue
         for w in ball.adj[x]:
@@ -599,7 +596,6 @@ def single_layer(ball: CayleyBall, u: int, v: int) -> SingleLayerConfig:
 
 @dataclass
 class UniquenessReport:
-    groups: int
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -614,7 +610,7 @@ def digon_side_uniqueness(ball: CayleyBall, digons: list[Digon]) -> UniquenessRe
     by_low: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for d in digons:
         by_low.setdefault(tuple(d.low), set()).add(tuple(d.up))
-    rep = UniquenessReport(groups=len(by_low))
+    rep = UniquenessReport()
     for low, ups in by_low.items():
         if len(ups) != 1:
             rep.violations.append(f"lower side {low} admits {len(ups)} upper sides")

@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .words import Word, Presentation, TemplateWord
+from .words import Word, Presentation, TemplateWord, content_lines
 from .sampler import DensityParams, sample_presentation
 from .cancellation import max_piece_length, satisfies_cprime, dehn_reduce
 from .cayley import build_ball, geometry_scan, require_known_checks
@@ -157,25 +157,42 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _content_lines(path) -> list[str]:
-    """The lines of a text file with # comments and blank lines removed."""
+def _parse_lines(path, parse) -> list:
+    """parse(line) for each content line of a file; a ValueError names
+    the file and the line."""
     with open(path) as f:
-        return [line for line in (raw.split("#", 1)[0].strip() for raw in f) if line]
+        text = f.read()
+    out = []
+    for lineno, line in content_lines(text):
+        try:
+            out.append(parse(line))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from e
+    return out
+
+
+def _length_entry(line: str) -> tuple[str, int]:
+    try:
+        name, val = line.split("=")
+        return name.strip(), int(val)
+    except ValueError:
+        raise ValueError(f"expected '<symbol> = <integer length>', got {line!r}") from None
+
+
+def _boundary_range(line: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(x) for x in line.split())
+        return lo, hi
+    except ValueError:
+        raise ValueError(f"expected '<lo> <hi>' as two integers, got {line!r}") from None
 
 
 def _cmd_unify(args) -> int:
-    equations = [TemplateWord.from_text(line) for line in _content_lines(args.system)]
-    lengths = {}
-    for line in _content_lines(args.lengths):
-        name, val = (x.strip() for x in line.split("=", 1))
-        lengths[name] = int(val)
+    equations = _parse_lines(args.system, TemplateWord.from_text)
+    lengths = dict(_parse_lines(args.lengths, _length_entry))
     layout = build_layout(equations, lengths)
     alphabet = unify_positions(layout)
-    boundary = []
-    if args.boundary:
-        for line in _content_lines(args.boundary):
-            lo, hi = (int(x) for x in line.split())
-            boundary.append((lo, hi))
+    boundary = _parse_lines(args.boundary, _boundary_range) if args.boundary else []
     out = {
         "pieces": [
             {"len": p.length, "occurrences": [[s, g] for s, g in p.occurrences]}

@@ -135,8 +135,11 @@ class VanKampenDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "VanKampenDiagram":
-        """Parse to_json() output; "outer" and "numbering" are optional.
-        Raises ValueError naming the first malformed field."""
+        """Parse to_json() output.  "outer", the boundary cycle from the
+        base vertex, is required: where the boundary passes a vertex twice
+        the faces do not fix it.  "numbering" is optional (one number per
+        face).  Raises ValueError naming the first malformed or missing
+        field."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("diagram JSON must be an object")
@@ -150,13 +153,10 @@ class VanKampenDiagram:
         }
         faces = _json_ints(data.get("faces"), "faces", depth=2)
         base = _json_int(data.get("base"), "base")
-        if "outer" in data:
-            outer = _json_ints(data["outer"], "outer")
-        else:
-            outer = _complete_outer(edges, faces, base)
         numbering = data.get("numbering")
         if numbering is not None:
             _json_ints(numbering, "numbering")
+        outer = _json_ints(data.get("outer"), "outer")
         return cls(vertices, edges, faces, outer, base, numbering)
 
 
@@ -176,79 +176,6 @@ def _json_ints(value, name: str, depth: int = 1) -> list:
         else:
             _json_int(x, f"{name}[{i}]")
     return value
-
-
-def _complete_outer(edges, faces, base=None):
-    """Order the darts not used by bounded faces into a boundary cycle.
-
-    The boundary successor of dart b is a boundary dart out of head(b).
-    Where several choices exist (a vertex the boundary visits more than
-    once) they are paired in dart-id order, then successor swaps merge
-    any stray cycles into one.  Only used for JSON input lacking an
-    explicit outer cycle; the result is some valid chaining, judged by
-    verify_diagram.
-    """
-    used = {d for f in faces for d in f}
-    all_darts = [s * e for e in edges for s in (1, -1)]
-    boundary = [d for d in all_darts if d not in used]
-    if not boundary:
-        return []
-
-    starts_at = {}
-    ends_at = {}
-    for b in boundary:
-        starts_at.setdefault(_tail(edges, b), []).append(b)
-        ends_at.setdefault(_head(edges, b), []).append(b)
-    succ = {}
-    for v, ins in ends_at.items():
-        outs = starts_at.get(v, [])
-        if len(outs) != len(ins):
-            raise ValueError("boundary darts do not balance at a vertex")
-        for b, s in zip(sorted(ins, key=abs), sorted(outs, key=abs)):
-            succ[b] = s
-
-    def cycles_of(succ):
-        seen = set()
-        out = []
-        for b in boundary:
-            if b in seen:
-                continue
-            cyc = [b]
-            seen.add(b)
-            while succ[cyc[-1]] != b:
-                cyc.append(succ[cyc[-1]])
-                seen.add(cyc[-1])
-            out.append(cyc)
-        return out
-
-    cycles = cycles_of(succ)
-    guard = 0
-    while len(cycles) > 1:
-        guard += 1
-        if guard > len(boundary):
-            raise ValueError("cannot stitch boundary into one cycle")
-        # find two cycles sharing a successor vertex and swap there
-        merged = False
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                vi = {_head(edges, b): b for b in cycles[i]}
-                match = next((b for b in cycles[j] if _head(edges, b) in vi), None)
-                if match is not None:
-                    a = vi[_head(edges, match)]
-                    succ[a], succ[match] = succ[match], succ[a]
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
-            raise ValueError("boundary splits into disconnected cycles")
-        cycles = cycles_of(succ)
-    cycle = cycles[0]
-    if base is not None:
-        for i, d in enumerate(cycle):
-            if _tail(edges, d) == base:
-                return cycle[i:] + cycle[:i]
-    return cycle
 
 
 def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:

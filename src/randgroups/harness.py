@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .words import Presentation
+from .words import Presentation, content_lines
 from .sampler import DensityParams, sample_presentation, stream
 from .cancellation import satisfies_cprime, first_moment_piece_bound
 from .sentences import parse_sentence, refute_sentence, BudgetExceeded
@@ -265,10 +265,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """key = value lines; # starts a comment."""
     fields = {}
     budget = Budget()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))

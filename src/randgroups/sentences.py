@@ -28,6 +28,7 @@ from .words import (
     Presentation,
     template_reduce,
     is_variable_symbol,
+    is_generator_symbol,
     substitute,
     free_reduce,
     invert,
@@ -170,16 +171,11 @@ class _Parser:
 
     @staticmethod
     def _symbol(name: str, pos: int, sign: int):
-        head = name[0]
-        if head.isupper():
+        if name[0].isupper():
             sign = -sign
             name = name.lower()
-        if len(name) > 1 and not name[1:].isdigit():
-            raise SentenceSyntaxError(f"bad identifier {name!r}", pos)
-        if name[0] not in "abcdefghijtuvwxyz":
+        if not (is_variable_symbol(name) or is_generator_symbol(name)):
             raise SentenceSyntaxError(f"unknown identifier {name!r}", pos)
-        if name[0] in "abcdefghij" and len(name) > 1:
-            raise SentenceSyntaxError(f"generators take no suffix: {name!r}", pos)
         return (name, sign)
 
     def parse_literal(self) -> Literal:

@@ -71,23 +71,22 @@ class IntervalLayout:
         return {s.start for s in self.segments}
 
 
-def build_layout(system, lengths: dict[str, int], extra_doubles: Iterable[Double] = ()) -> IntervalLayout:
+def build_layout(equations, lengths: dict[str, int], extra_doubles: Iterable[Double] = ()) -> IntervalLayout:
     """Left-to-right placement of every occurrence, one segment each.
 
-    system: a TriangularSystem or an iterable of equations, each a
-    sequence of (symbol, sign) pairs such as a TemplateWord.  Doubles
-    pair consecutive occurrences of each variable; opposite occurrence
-    signs give a reversed-orientation double.  Zero-length symbols are
-    omitted.
+    equations: an iterable of equations, each a sequence of (symbol,
+    sign) pairs such as a TemplateWord.  Doubles pair consecutive
+    occurrences of each variable; opposite occurrence signs give a
+    reversed-orientation double.  Zero-length symbols are omitted; a
+    symbol without a length raises ValueError.
     """
-    equations = system.equations if isinstance(system, TriangularSystem) else list(system)
     segments: list[Segment] = []
     cursor = 0
     occ_of: dict[str, list[int]] = {}
     for eq in equations:
         for name, sign in eq:
             if name not in lengths:
-                raise KeyError(f"no length for symbol {name!r}")
+                raise ValueError(f"no length for symbol {name!r}")
             L = lengths[name]
             if L < 0:
                 raise ValueError(f"negative length for {name!r}")
@@ -373,7 +372,9 @@ def relator_decoration(
     """Unify positions of the relator interval J1 = n_rel * length.
 
     boundary_piece_occurrences: per piece, its occurrences written in
-    relator coordinates: a list of lists of (relator, offset, sign, length).
+    relator coordinates: a list of lists of (relator, offset, sign, length),
+    sign 1 or -1.  A span of positive length outside the relators raises
+    ValueError, as does a bad sign.
     internal_matchings: ((rel_i, off_i), (rel_j, off_j), length, reversed)
     identifications from shared internal edges.
 
@@ -391,14 +392,16 @@ def relator_decoration(
         return L > 0
 
     for occs in boundary_piece_occurrences:
-        if len(occs) < 2:
-            continue
-        r0, o0, s0, L0 = occs[0]
-        for r1, o1, s1, L1 in occs[1:]:
-            if L1 != L0:
+        for rel, off, sign, L in occs:
+            if sign not in (1, -1):
+                raise ValueError(f"occurrence sign {sign!r} is not 1 or -1")
+            if L != occs[0][3]:
                 raise ValueError("occurrences of one piece differ in length")
-            if span(r0, o0, L0) and span(r1, o1, L0):
-                doubles.append(Double(r0, o0, r1, o1, L0, s0 != s1))
+            span(rel, off, L)
+        for r1, o1, s1, L in occs[1:]:
+            if L > 0:
+                r0, o0, s0, _ = occs[0]
+                doubles.append(Double(r0, o0, r1, o1, L, s0 != s1))
     for (ri, oi), (rj, oj), L, rev in internal_matchings:
         if span(ri, oi, L) and span(rj, oj, L):
             doubles.append(Double(ri, oi, rj, oj, L, rev))
@@ -486,8 +489,8 @@ def default_shape(T: TriangularSystem, lengths: dict[str, int]) -> dict[tuple[in
 
 def build_parametric_system(
     T: TriangularSystem,
+    lengths: dict[str, int],
     shape: dict[tuple[int, int], SideShape] | None = None,
-    lengths: dict[str, int] | None = None,
 ) -> ParametricSystem:
     """Parametric equations over the h/c split of each triangle side.
 
@@ -496,8 +499,6 @@ def build_parametric_system(
     part lengths of every side and must be consistent where sides share
     an h-symbol.
     """
-    if lengths is None:
-        raise ValueError("variable lengths are required")
     if shape is None:
         shape = default_shape(T, lengths)
 

@@ -87,9 +87,6 @@ class Word(tuple):
         return max(map(abs, self), default=0)
 
 
-EMPTY = Word()
-
-
 def _raw(letters) -> Word:
     """Unvalidated Word construction for letters known to be valid."""
     return tuple.__new__(Word, letters)
@@ -279,6 +276,14 @@ def substitute(template: TemplateWord, assignment: Mapping[str, Word]) -> Word:
 # Presentations.
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) for each line of a text file that is not
+    blank once its # comment is cut off; the one comment rule of every
+    input file."""
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), start=1))
+    return [(n, line) for n, line in lines if line]
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation with cyclically reduced relators of one length.
@@ -332,8 +337,7 @@ class Presentation:
 
     @classmethod
     def from_text(cls, text: str) -> "Presentation":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [line for _, line in content_lines(text)]
         if not lines:
             raise ValueError("empty presentation file")
         header = lines[0]

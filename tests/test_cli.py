@@ -115,3 +115,28 @@ def test_mc_command_reports_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "randgroups: error: line 2: model.density: bad value '1/0' (zero denominator)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "which, text, message",
+    [
+        ("lengths", "x = 2\nx 2\n", "lens.txt: line 2: expected '<symbol> = <integer length>', got 'x 2'"),
+        ("lengths", "# lengths\nx = two\n", "lens.txt: line 2: expected '<symbol> = <integer length>', got 'x = two'"),
+        ("boundary", "0 2 3\n", "bound.txt: line 1: expected '<lo> <hi>' as two integers, got '0 2 3'"),
+        ("system", "x y\n", "no length for symbol 'y'"),
+    ],
+    ids=["lengths-no-equals", "lengths-not-integer", "boundary-three-fields", "system-no-length"],
+)
+def test_unify_command_names_the_bad_line(tmp_path, capsys, which, text, message):
+    files = {"system": "sys.txt", "lengths": "lens.txt", "boundary": "bound.txt"}
+    contents = {"system": "x x\n", "lengths": "x = 2\n", "boundary": "0 4\n", which: text}
+    args = ["unify"]
+    for key, name in files.items():
+        (tmp_path / name).write_text(contents[key])
+        args += [f"--{key}", str(tmp_path / name)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -306,15 +306,41 @@ def test_diagram_json_round_trip():
     assert boundary_word(D2) == boundary_word(D)
 
 
-def test_diagram_json_without_outer():
-    D = single_face_diagram(W("abAB"))
-    import json as _json
+def _renumber_edges(text: str, perm) -> str:
+    """The same diagram with edge i + 1 renamed perm[i] + 1."""
+    data = json.loads(text)
+    edges = [None] * len(data["edges"])
+    for i, e in enumerate(data["edges"]):
+        edges[perm[i]] = e
 
-    data = _json.loads(D.to_json())
-    del data["outer"]
-    D2 = VanKampenDiagram.from_json(_json.dumps(data))
-    rep = verify_diagram(D2, COMM)
-    assert rep.ok, rep.problems
+    def ref(d):
+        return (int(perm[abs(d) - 1]) + 1) * (1 if d > 0 else -1)
+
+    data["edges"] = edges
+    data["faces"] = [[ref(d) for d in f] for f in data["faces"]]
+    data["outer"] = [ref(d) for d in data["outer"]]
+    return json.dumps(data)
+
+
+def test_diagram_json_round_trip_keeps_boundary_under_any_edge_order():
+    """Renumbering the edges describes the same diagram; with "outer"
+    given, the parsed diagram keeps the boundary word.  (Without it the
+    faces do not fix the boundary where it passes a vertex twice.)"""
+    p = sample_presentation(DensityParams(2, Fraction(0), 16, 306))
+    rng = stream(13)
+    checked = 0
+    for K in range(2, 8):
+        for i in range(10):
+            w = _conjugate_product(p, K, stream(13, K, i))
+            if not w:
+                continue
+            D = diagram_from_dehn_trace(w, p)
+            perm = rng.permutation(len(D.edges))
+            D2 = VanKampenDiagram.from_json(_renumber_edges(D.to_json(), perm))
+            assert boundary_word(D2) == w
+            assert verify_diagram(D2, p).ok
+            checked += 1
+    assert checked >= 50
 
 
 @pytest.mark.parametrize(
@@ -326,6 +352,8 @@ def test_diagram_json_without_outer():
         ({"vertices": 2, "edges": [], "faces": [[1, "a"]], "base": 0}, "faces[0][1]"),
         ({"vertices": True, "edges": [], "faces": [], "base": 0}, "vertices"),
         ({"vertices": 1, "edges": [], "faces": [], "base": 0, "numbering": {}}, "numbering"),
+        ({"vertices": 1, "edges": [], "faces": [], "base": 0}, "'outer'"),
+        ({"vertices": 1, "edges": [], "faces": [], "base": 0, "outer": [1, None]}, "outer[1]"),
     ],
 )
 def test_diagram_json_names_the_malformed_field(data, field):

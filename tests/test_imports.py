@@ -6,7 +6,9 @@ never reads (a name listed in __all__ counts as read), on a
 module-level private function or class that no statement of any module
 but its own definition refers to, and on a non-dunder method of a
 library class that no statement of src/, tests/, scripts/ or bench/
-reads outside its own definition.
+reads outside its own definition.  It also fails on a knob: a defaulted
+positional parameter of a library function that no call in those trees
+passes, or that every call passes.
 """
 
 import ast
@@ -134,3 +136,74 @@ def test_no_unreferenced_methods():
     library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     users = [path.read_text() for d in ("tests", "scripts", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced_methods(library, users) == []
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passes(call: ast.Call, index: int, name: str) -> bool:
+    """Whether a call passes the parameter at positional index `index`
+    (self not counted) or named `name`; *args and **kwargs count."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return len(call.args) > index or any(k.arg == name for k in call.keywords)
+
+
+def unvaried_knobs(library: dict[str, str], users: list[str]) -> list[str]:
+    """module:function: parameter for each defaulted positional parameter
+    of a non-dunder library function (a method's self or cls aside)
+    that no call of that name passes, or every call does; calls are
+    matched by name across the library and the user sources."""
+    defined = []
+    for module, source in library.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("__"):
+                continue
+            params = node.args.posonlyargs + node.args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            if id(node) in methods and not static:
+                params = params[1:]
+            for index in range(len(params) - len(node.args.defaults), len(params)):
+                defined.append((module, node.name, index, params[index].arg))
+    calls: dict[str, list[ast.Call]] = {}
+    for source in [*library.values(), *users]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and (name := _call_name(node)):
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, func, index, param in defined:
+        passed = [_passes(c, index, param) for c in calls.get(func, [])]
+        if not any(passed) or all(passed):
+            out.append(f"{module}:{func}: {param}")
+    return sorted(out)
+
+
+def test_unvaried_knobs_finds_one_valued_parameters():
+    library = {
+        "a": (
+            "def f(x, cap=10, mode=None, depth=1):\n    return g(x, kind=depth)\n"
+            "def g(x, kind=None):\n    return x\n"
+            "def h(x, y=0):\n    return x\n"
+            "class C:\n"
+            "    def __init__(self, size=3):\n        pass\n"
+            "    def m(self, k=1):\n        return k\n"
+            "    @staticmethod\n    def s(k=1):\n        return k\n"
+        ),
+    }
+    users = [
+        "from a import f, h, C\n"
+        "f(1, 2)\nf(1, 3, mode='x')\nf(1, 4)\n"
+        "h(*args)\nh(1)\n"
+        "C().m()\nC().m(2)\nC.s(k=2)\n"
+    ]
+    assert unvaried_knobs(library, users) == ["a:f: cap", "a:f: depth", "a:g: kind", "a:s: k"]
+
+
+def test_no_unvaried_knobs():
+    library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for d in ("tests", "scripts", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+    assert unvaried_knobs(library, users) == []

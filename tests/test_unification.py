@@ -326,6 +326,23 @@ def test_relator_decoration_checks_coordinates_before_unifying():
     assert [(p.length, p.occurrences) for p in out.alphabet.pieces] == [(1, [(0, 1), (1, 1)])]
 
 
+def test_relator_decoration_checks_a_lone_occurrence():
+    # a piece's only occurrence, at relator 9 of 1, lies outside the relators
+    with pytest.raises(ValueError, match="relator coordinate out of range"):
+        relator_decoration(1, 4, [[(9, 9, 1, 2)]])
+    # a zero-length lone occurrence adds nothing and is not checked
+    out = relator_decoration(1, 4, [[(9, 9, 1, 0)]])
+    assert isinstance(out, SingletonWitness)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -3])
+def test_relator_decoration_rejects_a_sign_other_than_one(sign):
+    with pytest.raises(ValueError, match="sign"):
+        relator_decoration(1, 4, [[(0, 0, 1, 2), (0, 2, sign, 2)]])
+    with pytest.raises(ValueError, match="sign"):
+        relator_decoration(1, 4, [[(0, 0, sign, 2)]])
+
+
 # -- the chain merge against the pairwise merge oracle ------------------------
 
 

@@ -12,6 +12,7 @@ from randgroups.words import (
     is_cyclically_reduced,
     substitute,
     UnboundVariableError,
+    content_lines,
 )
 from oracles import free_reduce_oracle, cyclic_reduce_oracle
 
@@ -187,6 +188,18 @@ def test_presentation_file_comments_and_spaces():
     text = "# a comment\nrank=2 length=4\n# another\nabAB\n"
     p = Presentation.from_text(text)
     assert p.rank == 2 and p.length == 4 and p.relators[0].text() == "abAB"
+
+
+def test_presentation_file_trailing_comments():
+    """# starts a comment anywhere on a line, as in config and unify files."""
+    text = "rank=2 length=4  # one relator\nabAB  # commutator\n   # indented note\n"
+    p = Presentation.from_text(text)
+    assert p == Presentation(2, [Word.from_text("abAB")], 4)
+
+
+def test_content_lines_numbers_the_lines_it_keeps():
+    text = "# head\nx = 2  # two\n\n  y = 3\n#\n"
+    assert content_lines(text) == [(2, "x = 2"), (4, "y = 3")]
 
 
 def test_empty_presentation():
