@@ -248,7 +248,9 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
     dist: list[int] = [0]
     vecs: list[tuple[int, ...]] = [reducer.reduce((0,) * n)]
     by_class: dict[tuple[int, ...], list[int]] = {vecs[0]: [0]}
-    adj: list[list[int]] = [[-1] * (2 * n)]
+    # flat, adj[v * m + column]: one list slot per edge end, not a list per vertex
+    m = 2 * n
+    adj: list[int] = [-1] * m
 
     def candidate_vec(u: int, g: int) -> tuple[int, ...]:
         v = list(vecs[u])
@@ -286,7 +288,7 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         nxt: list[int] = []
         for u in layers[k]:
             for g, c, back in moves:
-                if adj[u][c] >= 0:
+                if adj[u * m + c] >= 0:
                     continue
                 w = _append_reduce(words[u], g)
                 v = find(w, u, g, k)
@@ -303,10 +305,10 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
                         key = candidate_vec(u, g)
                         vecs.append(key)
                         by_class.setdefault(key, []).append(v)
-                    adj.append([-1] * (2 * n))
+                    adj.extend([-1] * m)
                     nxt.append(v)
-                adj[u][c] = v
-                adj[v][back] = u
+                adj[u * m + c] = v
+                adj[v * m + back] = u
         layers.append(nxt)
 
     return CayleyBall(
@@ -315,7 +317,7 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
         words,
         index,
         np.array(dist, dtype=np.int32),
-        np.array(adj, dtype=np.int32),
+        np.array(adj, dtype=np.int32).reshape(-1, m),
     )
 
 

@@ -139,7 +139,7 @@ class VanKampenDiagram:
         base vertex, is required: where the boundary passes a vertex twice
         the faces do not fix it.  "numbering" is optional (one number per
         face).  Raises ValueError naming the first malformed or missing
-        field."""
+        field, or the first dart of "faces" or "outer" that names no edge."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("diagram JSON must be an object")
@@ -157,6 +157,9 @@ class VanKampenDiagram:
         if numbering is not None:
             _json_ints(numbering, "numbering")
         outer = _json_ints(data.get("outer"), "outer")
+        for i, face in enumerate(faces):
+            _json_darts(face, f"faces[{i}]", len(edges))
+        _json_darts(outer, "outer", len(edges))
         return cls(vertices, edges, faces, outer, base, numbering)
 
 
@@ -178,11 +181,22 @@ def _json_ints(value, name: str, depth: int = 1) -> list:
     return value
 
 
+def _json_darts(darts: list, name: str, n_edges: int) -> None:
+    """Every dart names an edge: 1 <= |d| <= n_edges."""
+    for i, d in enumerate(darts):
+        if not 0 < abs(d) <= n_edges:
+            field = f"{name}[{i}]"
+            raise ValueError(f"diagram JSON field {field!r} names no edge: |{d}| is not in 1..{n_edges}")
+
+
 def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
-    """Planarity, labeling and face-word checks; failures are report entries."""
+    """Planarity, labeling and face-word checks; failures are report entries.
+
+    Darts are checked against D.edges, the rotation orbits consume the
+    cycles' successor map and connectivity is a union-find, so at most
+    one dart-sized table is held at a time."""
     rep = VerifyReport(True)
     E = len(D.edges)
-    all_darts = {s * e for e in D.edges for s in (1, -1)}
 
     # vertex ids and labels well-formed
     for e, (t, h, x) in D.edges.items():
@@ -191,18 +205,19 @@ def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
         if not (isinstance(x, int) and x != 0 and abs(x) <= p.rank):
             rep.fail(f"edge {e} label {x} is not a signed generator within rank {p.rank}")
 
-    # darts partition into faces + outer
-    seen: dict[int, int] = {}
+    # darts partition into faces + outer; phi maps each dart to the next
+    # one on its cycle
+    phi: dict[int, int] = {}
     cycles = list(D.faces) + [D.outer]
     for ci, cyc in enumerate(cycles):
-        for d in cyc:
-            if d not in all_darts:
+        for i, d in enumerate(cyc):
+            if abs(d) not in D.edges:
                 rep.fail(f"cycle {ci} uses unknown dart {d}")
-            elif d in seen:
+            elif d in phi:
                 rep.fail(f"dart {d} appears in two cycles")
             else:
-                seen[d] = ci
-    missing = all_darts - set(seen)
+                phi[d] = cyc[(i + 1) % len(cyc)]
+    missing = [d for e in D.edges for d in (-e, e) if d not in phi]
     if missing:
         rep.fail(f"darts not on any face or the boundary: {sorted(missing, key=abs)[:6]}")
     if not rep.ok:
@@ -217,52 +232,31 @@ def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
     if not rep.ok:
         return rep
 
-    # rotation system: sigma = phi(alpha(.)) must give one orbit per vertex
-    phi = {}
-    for cyc in cycles:
-        for i, d in enumerate(cyc):
-            phi[d] = cyc[(i + 1) % len(cyc)]
-    sigma = {d: phi[-d] for d in all_darts}
-    darts_at = {}
-    for d in all_darts:
-        darts_at.setdefault(D.tail(d), []).append(d)
-    visited = set()
+    # rotation system: sigma = phi(alpha(.)) must give one orbit per vertex;
+    # visiting d pops phi[-d], so d has been visited once -d is not in phi
     orbits_per_vertex = {}
-    for d in all_darts:
-        if d in visited:
+    for d in list(phi):
+        if -d not in phi:
             continue
         v = D.tail(d)
         orbits_per_vertex[v] = orbits_per_vertex.get(v, 0) + 1
         cur = d
-        while cur not in visited:
-            visited.add(cur)
+        while -cur in phi:
             if D.tail(cur) != v:
                 rep.fail(f"rotation orbit of dart {d} leaves vertex {v}")
                 break
-            cur = sigma[cur]
+            cur = phi.pop(-cur)
+    del phi
     for v, k in orbits_per_vertex.items():
         if k != 1:
             rep.fail(f"vertex {v} has {k} rotation orbits (pinched embedding)")
 
     # connectivity over used vertices
-    used_vertices = {D.tail(d) for d in all_darts} | {D.head(d) for d in all_darts}
+    used_vertices = {v for t, h, _ in D.edges.values() for v in (t, h)}
     if D.n_vertices and not used_vertices:
         used_vertices = {D.base}
-    if used_vertices:
-        adj = {}
-        for e, (t, h, _) in D.edges.items():
-            adj.setdefault(t, []).append(h)
-            adj.setdefault(h, []).append(t)
-        stack = [next(iter(used_vertices))]
-        comp = set(stack)
-        while stack:
-            v = stack.pop()
-            for u in adj.get(v, []):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        if comp != used_vertices:
-            rep.fail("underlying graph is not connected")
+    if used_vertices and not _connected(D.edges, used_vertices):
+        rep.fail("underlying graph is not connected")
     if len(used_vertices) != D.n_vertices:
         rep.fail("isolated vertices present")
 
@@ -276,10 +270,8 @@ def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
     # base lies on the outer boundary
     if D.outer and D.tail(D.outer[0]) != D.base:
         rep.fail("outer boundary does not start at the base vertex")
-    if D.outer:
-        outer_vertices = {D.tail(d) for d in D.outer}
-        if D.base not in outer_vertices:
-            rep.fail("base vertex not on the outer boundary")
+    if D.outer and all(D.tail(d) != D.base for d in D.outer):
+        rep.fail("base vertex not on the outer boundary")
 
     # face words bear symmetrized relators
     origin = symmetrize(p).origin
@@ -299,6 +291,16 @@ def verify_diagram(D: VanKampenDiagram, p: Presentation) -> VerifyReport:
                 rep.fail(f"faces numbered {num} bear different relators")
             by_num[num] = rel
     return rep
+
+
+def _connected(edges, vertices: set) -> bool:
+    """Whether the edges join the vertices into one component (a
+    union-find forest over the edges' endpoints)."""
+    parent: dict[int, int] = {}
+    for t, h, _ in edges.values():
+        parent[_find(parent, t)] = _find(parent, h)
+    root = _find(parent, next(iter(vertices)))
+    return all(_find(parent, v) == root for v in vertices)
 
 
 def boundary_word(D: VanKampenDiagram) -> Word:
@@ -463,11 +465,11 @@ def _build_cactus_and_fold(factors) -> VanKampenDiagram:
         return VanKampenDiagram(1, {}, [], [], 0, [])
     outer = [_find(darts, d) for d in stack]
     faces = [[_find(darts, d) for d in f] for f in faces]
-    edges = {e: (_find(verts, t), _find(verts, h), x) for e, (t, h, x) in edges.items()}
-    # compact vertex ids
-    used = sorted({v for t, h, _ in edges.values() for v in (t, h)})
+    # compact vertex ids: the joined vertices, numbered in order
+    used = sorted({_find(verts, v) for t, h, _ in edges.values() for v in (t, h)})
     remap = {v: i for i, v in enumerate(used)}
-    edges = {e: (remap[t], remap[h], x) for e, (t, h, x) in edges.items()}
+    for e, (t, h, x) in edges.items():  # in place: no second edge table
+        edges[e] = (remap[_find(verts, t)], remap[_find(verts, h)], x)
     base = _tail(edges, outer[0]) if outer else 0
     return VanKampenDiagram(len(used), edges, faces, outer, base, numbering)
 

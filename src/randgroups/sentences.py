@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .words import (
     Word,
@@ -32,8 +35,9 @@ from .words import (
     substitute,
     free_reduce,
     invert,
+    char_to_letter,
 )
-from .cancellation import is_trivial, _require_sixth
+from .cancellation import is_trivial, _require_sixth, _dehn_index, _prefix_sizes
 from .cayley import BallBudgetExceeded, build_ball
 
 
@@ -280,16 +284,6 @@ def to_clausal(s: UniversalSentence) -> list[EquationalClause]:
     return out
 
 
-def eval_clause_group(c: EquationalClause, assignment: dict[str, Word], p: Presentation) -> bool:
-    """Truth of the clause in the group of p under a total assignment,
-    with equality decided by Dehn's algorithm (the free group of rank n
-    is Presentation(n))."""
-    hyps = all(is_trivial(substitute(v, assignment), p) for v in c.system)
-    if not hyps:
-        return True
-    return any(is_trivial(substitute(w, assignment), p) for w in c.conclusions)
-
-
 # ---------------------------------------------------------------------------
 # Bounded refutation
 
@@ -300,39 +294,153 @@ class BudgetExceeded(RuntimeError):
         self.examined = examined
 
 
-def _tuples_in_order(universe: list[Word], k: int, budget: int | None):
-    """Assignments ordered by total length, then componentwise index.
+# assignment tuples evaluated together: a block's arrays take well under
+# a MiB, and a witness among the first tuples costs one small block
+_BLOCK_ROWS = 2048
 
-    The universe must be sorted by length with every length from 0 to the
-    longest present, as a ball's words are.  Tuples are made one at a
-    time, so an early witness ends the search.
-    """
-    count = len(universe) ** k
-    if budget is not None and count > budget:
-        raise BudgetExceeded(count)
-    if k == 0:
-        yield ()
-        return
-    by_length: dict[int, list[Word]] = {}
-    for w in universe:
-        by_length.setdefault(len(w), []).append(w)
-    top = len(universe[-1])
 
-    def tuples(j: int, total: int):
-        """Tuples of j >= 1 words of total length `total`, in order."""
-        if j == 1:
-            yield from ((w,) for w in by_length.get(total, ()))
-            return
-        for n, words in by_length.items():
-            if n > total:
-                break
-            if total - n <= (j - 1) * top:
-                for w in words:
-                    for t in tuples(j - 1, total - n):
-                        yield (w,) + t
+def _padded(words: list[Word]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words as an int8 array, one row each, padded on the right with
+    0; their inverses padded the same way; and their lengths."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    filled = np.arange(lengths.max()) < lengths[:, None]
+    letters = np.fromiter(chain.from_iterable(words), dtype=np.int8, count=int(lengths.sum()))
+    fwd = np.zeros(filled.shape, np.int8)
+    fwd[filled] = letters
+    # all letters reversed and negated are the inverses, last word first
+    inv = np.zeros(filled.shape, np.int8)
+    inv[filled[::-1]] = -letters[::-1]
+    return fwd, inv[::-1], lengths
 
-    for total in range(k * top + 1):
-        yield from tuples(k, total)
+
+def _tuple_blocks(lengths: np.ndarray, k: int):
+    """Index k-tuples into a universe sorted by word length, ordered by
+    total length, then componentwise index, in blocks of at most
+    _BLOCK_ROWS rows; only the current block is ever made.
+
+    A block is unranked from its positions in that order.  Among the
+    j-tuples of total t (count[j, t] of them), off[j, t, n] have a first
+    word shorter than n.  The tuple of rank r has a first word of the
+    largest length n with off[j, t, n] <= r, the q // count[j - 1, t - n]-th
+    of that length, q = r - off[j, t, n], followed by the (j - 1)-tuple of
+    rank q % count[j - 1, t - n] and total t - n."""
+    top = int(lengths[-1])
+    sizes = np.bincount(lengths, minlength=top + 1)
+    start = np.cumsum(sizes) - sizes
+    totals = np.arange(k * top + 1)[:, None]
+    shorter = totals - np.arange(top + 1)
+    count = np.zeros((k + 1, len(totals)), np.int64)
+    count[0, 0] = 1
+    off = np.zeros((k + 1, len(totals), top + 2), np.int64)
+    for j in range(1, k + 1):
+        rest = np.where(shorter >= 0, count[j - 1, shorter.clip(0)], 0)
+        off[j, :, 1:] = np.cumsum(sizes * rest, axis=1)
+        count[j] = off[j, :, -1]
+    for t in range(len(totals)):
+        for first in range(0, count[k, t], _BLOCK_ROWS):
+            r = np.arange(first, min(first + _BLOCK_ROWS, count[k, t]))
+            rest = np.full(len(r), t)
+            block = np.empty((len(r), k), np.intp)
+            for c in range(k):
+                j = k - c
+                below = off[j, rest]
+                n = (below[:, 1:-1] <= r[:, None]).sum(axis=1)
+                q = r - np.take_along_axis(below, n[:, None], axis=1)[:, 0]
+                tails = count[j - 1, rest - n]
+                block[:, c] = start[n] + q // tails
+                r = q % tails
+                rest -= n
+            yield block
+
+
+def _substitute_rows(t: TemplateWord, rows: np.ndarray, col: dict[str, int],
+                     fwd: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """substitute(t, a) for the assignment a of each row of universe
+    indices: the reduced words left-aligned in an int8 array, and their
+    lengths.
+
+    The occurrences' padded words are laid side by side and reduced with
+    one stack per row, a column at a time: a letter that inverts its
+    row's top letter pops it, any other nonzero letter is pushed.  Each
+    row's stack starts with a 0 that no letter cancels."""
+    m = len(rows)
+    parts = [
+        ((fwd if sign > 0 else inv)[rows[:, col[name]]]).T if name in col
+        else np.full((1, m), sign * char_to_letter(name), np.int8)
+        for name, sign in t
+    ]
+    columns = np.concatenate(parts) if parts else np.zeros((0, m), np.int8)
+    width = len(columns) + 1
+    stack = np.zeros((m, width), np.int8)
+    flat = stack.reshape(-1)
+    base = np.arange(m) * width
+    top = base.copy()  # flat index of each row's top letter
+    for x in columns:
+        pop = (flat[top] == -x) & (x != 0)
+        flat[top + 1] = x  # a popped or zero letter lands above the new top
+        top += x != 0
+        top -= 2 * pop
+    return stack[:, 1:], top - base
+
+
+def _window_hashes(letters: np.ndarray, h: int, rank: int) -> np.ndarray:
+    """A Horner hash, wrapping in uint64, of each h-letter window of each
+    row: column i hashes letters[:, i : i + h]."""
+    wins = letters.shape[1] - h + 1
+    out = np.zeros((len(letters), max(wins, 0)), np.uint64)
+    if wins > 0:
+        codes = letters.view(np.uint8) + np.uint8(rank)  # letter + rank, mod 256
+        for i in range(h):
+            out *= np.uint64(2 * rank + 1)
+            out += codes[:, i : i + wins]
+    return out
+
+
+def _relator_halves(p: Presentation) -> tuple[np.ndarray, int]:
+    """The sorted window hashes of the floor(l/2) + 1-letter prefixes of
+    the symmetrized relators, and that window length.  (np.sort, not
+    np.unique: a repeat is harmless to searchsorted, and np.unique would
+    import numpy.ma, about 1 MiB, on its first call.)"""
+    h = _prefix_sizes(p.length)[-1]
+    halves = [key for key in _dehn_index(p) if len(key) == h] if p.relators else []
+    return np.sort(_window_hashes(np.array(halves, np.int8).reshape(-1, h), h, p.rank), axis=None), h
+
+
+def _holds_half(letters: np.ndarray, n: np.ndarray, keys: np.ndarray, h: int, rank: int) -> np.ndarray:
+    """Whether the first n[i] letters of row i have an h-letter window
+    whose hash is among the keys: a window at i fits when i + h <= n."""
+    if not len(keys):
+        return np.zeros(len(letters), bool)
+    hashes = _window_hashes(letters, h, rank)
+    hit = keys[np.searchsorted(keys, hashes).clip(max=len(keys) - 1)] == hashes
+    hit &= np.arange(hashes.shape[1]) <= (n - h)[:, None]
+    return hit.any(axis=1)
+
+
+def _falsified_blocks(c: EquationalClause, p: Presentation, universe: list[Word]):
+    """Each block of _tuple_blocks over the universe, with the positions
+    of its rows (assignments of c.variables() in order) that falsify c in
+    the group of p.  A literal is decided on all rows at once, by the
+    screen refute_on_ball_group describes; conclusions only on the rows
+    where every hypothesis holds."""
+    col = {v: j for j, v in enumerate(c.variables())}
+    fwd, inv, lengths = _padded(universe)
+    keys, h = _relator_halves(p)
+
+    def trivial(t: TemplateWord, rows: np.ndarray) -> np.ndarray:
+        letters, n = _substitute_rows(t, rows, col, fwd, inv)
+        out = n == 0
+        for i in np.flatnonzero(~out & _holds_half(letters, n, keys, h, p.rank)).tolist():
+            out[i] = is_trivial(Word(letters[i, : n[i]].tolist()), p)
+        return out
+
+    for block in _tuple_blocks(lengths, len(col)):
+        bad = np.arange(len(block))
+        for v in c.system:
+            bad = bad[trivial(v, block[bad])]
+        for w in c.conclusions:
+            bad = bad[~trivial(w, block[bad])]
+        yield block, bad
 
 
 def refute_on_ball_group(
@@ -350,6 +458,19 @@ def refute_on_ball_group(
     Assignments come by total length, then by position in the universe.
     The budget caps the number of tuples: the ball is built under it, so
     a universe too large raises BudgetExceeded before any tuple exists.
+
+    Tuples are evaluated a block at a time (_falsified_blocks): each
+    literal is substituted and freely reduced on the whole block in numpy.
+    Under C'(1/6) a nonempty reduced word is trivial only if it holds
+    more than half of a symmetrized relator (Greendlinger; Lyndon &
+    Schupp, Ch. V), and Dehn's algorithm decides it.  So an empty word is
+    trivial, a word with no window of floor(l/2) + 1 letters from a
+    symmetrized relator is nontrivial (Dehn's algorithm leaves it as it
+    is), and only the words with such a window go to is_trivial, one at a
+    time.  The windows are screened by uint64 Horner hashes; a collision
+    only sends a word to is_trivial, so the verdicts stay exact.  The
+    witness is the first falsifying row of the first block that has one,
+    which is the first falsifying tuple in order.
     """
     _require_sixth(p)
     vars_ = c.variables()
@@ -365,10 +486,12 @@ def refute_on_ball_group(
             universe = build_ball(p, L, max_vertices=cap).words
         except BallBudgetExceeded as e:
             raise BudgetExceeded((e.vertices + 1) ** k) from None
-    for combo in _tuples_in_order(universe, k, budget):
-        a = dict(zip(vars_, combo))
-        if not eval_clause_group(c, a, p):
-            return a
+    count = len(universe) ** k
+    if budget is not None and count > budget:
+        raise BudgetExceeded(count)
+    for block, bad in _falsified_blocks(c, p, universe):
+        if len(bad):
+            return dict(zip(vars_, (universe[i] for i in block[bad[0]].tolist())))
     return None
 
 

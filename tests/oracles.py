@@ -90,6 +90,57 @@ def dedup_in_group_oracle(words, p: Presentation) -> list[Word]:
     return kept
 
 
+def eval_clause_group(c, assignment: dict[str, Word], p: Presentation) -> bool:
+    """The per-tuple oracle of bounded refutation: truth of the clause in
+    the group of p under a total assignment, with equality decided by
+    Dehn's algorithm (the free group of rank n is Presentation(n))."""
+    from randgroups.cancellation import is_trivial
+    from randgroups.words import substitute
+
+    hyps = all(is_trivial(substitute(v, assignment), p) for v in c.system)
+    if not hyps:
+        return True
+    return any(is_trivial(substitute(w, assignment), p) for w in c.conclusions)
+
+
+def _tuples_in_order(universe: list[Word], k: int, budget: int | None):
+    """Assignments ordered by total length, then componentwise index, one
+    tuple at a time; the order refute_on_ball_group searches in.
+
+    The universe must be sorted by length with every length from 0 to the
+    longest present, as a ball's words are.  Over budget, BudgetExceeded
+    is raised before any tuple is made.
+    """
+    from randgroups.sentences import BudgetExceeded
+
+    count = len(universe) ** k
+    if budget is not None and count > budget:
+        raise BudgetExceeded(count)
+    if k == 0:
+        yield ()
+        return
+    by_length: dict[int, list[Word]] = {}
+    for w in universe:
+        by_length.setdefault(len(w), []).append(w)
+    top = len(universe[-1])
+
+    def tuples(j: int, total: int):
+        """Tuples of j >= 1 words of total length `total`, in order."""
+        if j == 1:
+            yield from ((w,) for w in by_length.get(total, ()))
+            return
+        for n, words in by_length.items():
+            if n > total:
+                break
+            if total - n <= (j - 1) * top:
+                for w in words:
+                    for t in tuples(j - 1, total - n):
+                        yield (w,) + t
+
+    for total in range(k * top + 1):
+        yield from tuples(k, total)
+
+
 def dehn_walk_oracle(w: Word, p: Presentation):
     """Dehn's algorithm the long way: rescan from position 0 for the
     leftmost window of floor(l/2) + 1 letters that starts some symmetrized

@@ -43,7 +43,6 @@ from randgroups.cayley import build_ball, verify_digon, Digon, digon_side_unique
 from randgroups.sentences import (
     parse_sentence,
     to_clausal,
-    eval_clause_group,
     refute_on_ball_group,
     triangularize,
     extend_solution,
@@ -87,6 +86,7 @@ from oracles import (
     set_partition_count,
     transitive_closure_unify,
     enumerate_reduced_words,
+    eval_clause_group,
 )
 
 

@@ -77,6 +77,31 @@ def test_single_face_relabeled_invalid():
     assert any("not a symmetrized relator" in p for p in rep.problems)
 
 
+def _square_and_sphere(joined: bool, base: int = 0):
+    """An abAB square (vertices 0-3) beside a sphere: a second abAB square
+    with a face on each side, on vertices 7, 4, 5, 6, or on 0, 4, 5, 6
+    when joined, which pinches vertex 0."""
+    first = 0 if joined else 7
+    edges = {1: (0, 1, 1), 2: (1, 2, 2), 3: (2, 3, -1), 4: (3, 0, -2),
+             5: (first, 4, 1), 6: (4, 5, 2), 7: (5, 6, -1), 8: (6, first, -2)}
+    faces = [[1, 2, 3, 4], [5, 6, 7, 8], [-8, -7, -6, -5]]
+    return VanKampenDiagram(8 - joined, edges, faces, [-4, -3, -2, -1], base, [0, 0, 0])
+
+
+def test_verify_reports_disconnected_pinched_and_off_boundary_base():
+    disconnected = verify_diagram(_square_and_sphere(False), COMM).problems
+    assert "underlying graph is not connected" in disconnected
+    assert not any("rotation orbits" in p for p in disconnected)
+    pinched = verify_diagram(_square_and_sphere(True), COMM).problems
+    assert "vertex 0 has 2 rotation orbits (pinched embedding)" in pinched
+    assert "underlying graph is not connected" not in pinched
+    off = verify_diagram(_square_and_sphere(True, base=5), COMM).problems
+    assert "base vertex not on the outer boundary" in off
+    assert verify_diagram(_square_and_sphere(True, base=2), COMM).problems == pinched + [
+        "outer boundary does not start at the base vertex"
+    ]
+
+
 def test_single_face_boundary_word():
     D = single_face_diagram(W("abAB"))
     assert boundary_word(D) == invert(W("abAB"))
@@ -359,6 +384,30 @@ def test_diagram_json_round_trip_keeps_boundary_under_any_edge_order():
 def test_diagram_json_names_the_malformed_field(data, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         VanKampenDiagram.from_json(json.dumps(data))
+
+
+_THREE_EDGES = [{"from": 0, "to": 1, "label": 1}, {"from": 1, "to": 2, "label": 2}, {"from": 2, "to": 0, "label": -1}]
+
+
+@pytest.mark.parametrize(
+    "faces, outer, field",
+    [
+        ([[2], []], [5, -6], "'outer[0]'"),   # 5 and -6 name no edge of 3
+        ([[2], []], [1, -4], "'outer[1]'"),
+        ([[2, 0]], [1], "'faces[0][1]'"),
+        ([[1], [3, -9]], [2], "'faces[1][1]'"),
+    ],
+)
+def test_diagram_json_rejects_darts_that_name_no_edge(faces, outer, field):
+    """A dart is a signed edge id 1..E: 0 or a larger id names no edge, and
+    the parser names the field instead of leaving the fault to a KeyError
+    in boundary_word or is_reduced."""
+    data = {"vertices": 5, "edges": _THREE_EDGES, "faces": faces, "base": 2, "numbering": [], "outer": outer}
+    with pytest.raises(ValueError, match=re.escape(field)):
+        VanKampenDiagram.from_json(json.dumps(data))
+    data["faces"], data["outer"] = [[1, 2, 3]], [-3, -2, -1]
+    D = VanKampenDiagram.from_json(json.dumps(data))
+    assert len(boundary_word(D)) == 3
 
 
 _json_values = st.recursive(

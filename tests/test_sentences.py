@@ -2,17 +2,17 @@ import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randgroups.words import Word, TemplateWord, Presentation, substitute, free_reduce
+from randgroups.words import Word, TemplateWord, Presentation, substitute, free_reduce, rotate
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word, stream
-from randgroups.cancellation import satisfies_cprime
+from randgroups.cancellation import satisfies_cprime, _dehn_index
 from randgroups.cayley import build_ball
 from randgroups.sentences import (
     parse_sentence,
     to_clausal,
-    eval_clause_group,
     refute_on_ball_group,
     refute_sentence,
     triangularize,
@@ -21,10 +21,14 @@ from randgroups.sentences import (
     EquationalClause,
     SentenceSyntaxError,
     BudgetExceeded,
-    _tuples_in_order,
+    _BLOCK_ROWS,
+    _falsified_blocks,
+    _holds_half,
+    _relator_halves,
+    _tuple_blocks,
 )
 
-from oracles import dedup_in_group_oracle, enumerate_reduced_words
+from oracles import dedup_in_group_oracle, enumerate_reduced_words, eval_clause_group, _tuples_in_order
 
 
 def W(s):
@@ -271,12 +275,149 @@ def test_tuples_in_order_matches_sorted_product():
         assert list(_tuples_in_order(universe, k, None)) == _sorted_product(universe, k), k
 
 
+def _block_tuples(universe, k):
+    """Every tuple of _tuple_blocks over the universe, and its blocks' sizes."""
+    blocks = list(_tuple_blocks(np.array([len(w) for w in universe]), k))
+    rows = [row for b in blocks for row in b.tolist()]
+    return [tuple(universe[i] for i in row) for row in rows], [len(b) for b in blocks]
+
+
+def test_tuple_blocks_match_sorted_product():
+    for n, L, ks in ((2, 0, range(4)), (2, 1, range(5)), (2, 2, range(4)), (2, 3, range(3)),
+                     (2, 4, range(3)), (3, 1, range(5)), (3, 2, range(4)), (3, 4, range(2))):
+        universe = build_ball(Presentation(n), L).words if L else [Word()]
+        for k in ks:
+            tuples, sizes = _block_tuples(universe, k)
+            assert tuples == _sorted_product(universe, k), (n, L, k)
+            assert max(sizes) <= _BLOCK_ROWS
+    # 161^2 pairs: the totals 6, 7 and 8 hold more than one block each
+    assert len(_block_tuples(build_ball(Presentation(2), 4).words, 2)[1]) > 9
+    words = enumerate_reduced_words(3, 4)
+    universe = [w for n in range(5) for w in [w for w in words if len(w) == n][: max(1, 5 - n)]]
+    for k in range(5):
+        assert _block_tuples(universe, k)[0] == _sorted_product(universe, k), k
+
+
 def test_tuples_are_made_lazily():
     # 161^4 = 6.7 * 10^8 tuples of rank-2 words of length <= 4: the first
     # ones come without the rest being made
     universe = enumerate_reduced_words(2, 4)
-    first = list(islice(_tuples_in_order(universe, 4, None), 6))
+    blocks = _tuple_blocks(np.array([len(w) for w in universe]), 4)
+    first = [tuple(universe[i] for i in row) for b in islice(blocks, 2) for row in b.tolist()][:6]
     assert first == _sorted_product(universe[:5], 4)[:6]
+
+
+def _fixed_presentation(l):
+    """The word-problem benchmark's presentation of length l: the first
+    C'(1/6) rank-2 relator from seed 0 on that is no proper power."""
+    s = 0
+    while True:
+        p = sample_presentation(DensityParams(2, 0, l, s))
+        r = p.relators[0]
+        if satisfies_cprime(p, Fraction(1, 6)) and all(rotate(r, k) != r for k in range(1, l)):
+            return p
+        s += 1
+
+
+def _criterion_10a_presentations(count):
+    """The first C'(1/8) rank-2 presentations of length 17 by seed, as
+    acceptance criterion 10a draws them."""
+    out, seed = [], 0
+    while len(out) < count:
+        p = sample_presentation(DensityParams(2, Fraction(0), 17, seed))
+        if satisfies_cprime(p, Fraction(1, 8)):
+            out.append(p)
+        seed += 1
+    return out
+
+
+def _half_clause(p):
+    """x r y = 1 with r the relator less its last 6 letters, more than
+    half of it: every reduced word of the literal holds a relator half."""
+    return to_clausal(parse_sentence(f"x {' '.join(Word(p.relators[0][:-6]).text())} y = 1"))[0]
+
+
+_DIFFERENTIAL_CLAUSES = [
+    ("x y ~x ~y = 1", 3),                                   # inverse occurrences
+    ("x x = 1 -> x = 1", 3),
+    ("x y x ~y ~x ~y = 1 -> x ~y = 1", 3),                  # the benchmark's braid
+    ("( x = 1 & y y = 1 ) -> ( x y = 1 | y != 1 )", 3),     # two hypotheses, a disjunction
+    ("x != 1 | x x x = 1", 3),                              # a != literal
+    ("x a ~x B = 1 -> ( x = 1 | x b = 1 )", 3),             # generator constants
+    ("a b ~a ~b = 1", 3),                                   # k = 0, false
+    ("b ~b a ~a = 1 | a != 1", 3),                          # k = 0, true
+    ("x y z = 1 -> z y x = 1", 1),                          # k = 3
+    ("( x y ~x ~y = 1 & y z = 1 ) -> x z ~x ~z = 1", 2),
+]
+
+
+def _check_blocks_against_oracle(c, p, L):
+    """Every tuple's block verdict equals eval_clause_group's, the tuples
+    come in the oracle's order, and refute_on_ball_group returns the first
+    falsifying one.  Returns (tuples, falsified)."""
+    vars_ = c.variables()
+    universe = build_ball(p, L).words if L and vars_ else [Word()]
+    tuples, verdicts = [], []
+    for block, bad in _falsified_blocks(c, p, universe):
+        falsified = np.zeros(len(block), bool)
+        falsified[bad] = True
+        for row, f in zip(block.tolist(), falsified.tolist()):
+            tuples.append(tuple(universe[i] for i in row))
+            verdicts.append(f)
+    assert tuples == list(_tuples_in_order(universe, len(vars_), None))
+    oracle = [not eval_clause_group(c, dict(zip(vars_, t)), p) for t in tuples]
+    assert verdicts == oracle, c
+    first = next((dict(zip(vars_, t)) for t, f in zip(tuples, oracle) if f), None)
+    assert refute_on_ball_group(c, p, L) == first
+    return len(tuples), sum(oracle)
+
+
+def test_block_verdicts_match_per_tuple_oracle():
+    presentations = [Presentation(2), Presentation(3), *_criterion_10a_presentations(2),
+                     _fixed_presentation(16), _fixed_presentation(24)]
+    for p in presentations:
+        for text, L in _DIFFERENTIAL_CLAUSES:
+            (c,) = to_clausal(parse_sentence(text))
+            _check_blocks_against_oracle(c, p, L)
+
+
+def test_screen_reads_every_window_that_fits():
+    # row 0 ends in the first floor(l/2) + 1 letters of the relator; row 1
+    # holds the same letters but ends one short, so that window is stale
+    p = _fixed_presentation(16)
+    keys, h = _relator_halves(p)
+    r = p.relators[0]
+    g = next(x for x in (1, -1, 2, -2) if x != -r[0] and (x, *r[: h - 1]) not in _dehn_index(p))
+    letters = np.array([[g, *r[:h]]] * 2, np.int8)
+    n = np.array([h + 1, h])
+    assert _holds_half(letters, n, keys, h, p.rank).tolist() == [True, False]
+    free_keys, free_h = _relator_halves(Presentation(2))
+    assert _holds_half(letters, n, free_keys, free_h, 2).tolist() == [False, False]
+
+
+def test_relator_half_reaches_is_trivial(monkeypatch):
+    # x = the relator's last 3 letters and y the 3 before them make x r y
+    # a rotation of the relator: trivial, though the screen finds only a
+    # window of a relator half in it, so is_trivial must decide it
+    from randgroups import sentences
+
+    calls = []
+    real = sentences.is_trivial
+
+    def counted(w, p):
+        calls.append(w)
+        return real(w, p)
+
+    monkeypatch.setattr(sentences, "is_trivial", counted)
+    for p in (_fixed_presentation(16), *_criterion_10a_presentations(1)):
+        c = _half_clause(p)
+        r = p.relators[0]
+        x, y = Word(r[-3:]), Word(r[-6:-3])
+        assert {x, y} <= set(build_ball(p, 3).words)
+        assert eval_clause_group(c, {"x": x, "y": y}, p)
+        n, falsified = _check_blocks_against_oracle(c, p, 3)
+        assert 0 < falsified < n
+    assert calls
 
 
 def test_ball_universe_matches_oracles():
