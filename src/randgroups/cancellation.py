@@ -23,10 +23,13 @@ search over k.
 
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
-decides the word problem (Greendlinger).  Dehn's algorithm and Cayley-ball
-completion share one index from more-than-half prefixes to the unique
-element each starts.  The leftmost such subword is replaced, and the scan
-resumes floor(l/2) letters left of the first changed letter, not at 0.
+decides the word problem (Greendlinger).  Dehn's algorithm finds them
+through one index from more-than-half prefixes to the unique element each
+starts.  The leftmost such subword is replaced, and the scan resumes
+floor(l/2) letters left of the first changed letter, not at 0.  The same
+prefixes, as sorted uint64 window hashes beside their elements
+(_relator_halves, one hash rule in _window_hashes), are the table that
+Cayley-ball completion and the refutation screen look words up in.
 """
 
 from __future__ import annotations
@@ -257,6 +260,37 @@ def _dehn_index(p: Presentation) -> dict[tuple[int, ...], Word]:
     longer than l/6, so it is no piece and starts one element only."""
     sizes = _prefix_sizes(p.length)
     return {el[:j]: el for el in symmetrize(p).elements for j in sizes}
+
+
+def _window_hashes(letters: np.ndarray, h: int, rank: int) -> np.ndarray:
+    """A Horner hash, wrapping in uint64, of each h-letter window of each
+    row of an int8 letter array: column i hashes letters[:, i : i + h].
+    A letter x counts as x + rank and the base B is 2 * rank + 1, so the
+    hash of c * y is hash(c) * B^|y| + hash(y), and two words of one
+    length h hash apart while B^h <= 2^64."""
+    wins = letters.shape[1] - h + 1
+    out = np.zeros((len(letters), max(wins, 0)), np.uint64)
+    if wins > 0:
+        codes = letters.view(np.uint8) + np.uint8(rank)  # letter + rank, mod 256
+        for i in range(h):
+            out *= np.uint64(2 * rank + 1)
+            out += codes[:, i : i + wins]
+    return out
+
+
+# two prefix sizes for each presentation _dehn_index keeps
+@lru_cache(maxsize=32)
+def _relator_halves(p: Presentation, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The j-letter prefixes of the symmetrized elements, j one of the
+    prefix sizes of _dehn_index, as a lookup table: their window hashes,
+    sorted, and the elements as an int8 array in the same order.  A hash
+    hit is no match until its letters are compared; a miss proves none.
+    (argsort, not np.unique, which imports numpy.ma, about 1 MiB, on its
+    first call.)"""
+    elements = np.array(symmetrize(p).elements or np.zeros((0, p.length)), np.int8)
+    keys = _window_hashes(elements[:, :j], j, p.rank).reshape(-1)
+    order = np.argsort(keys)
+    return keys[order], elements[order]
 
 
 def _cancel(a: tuple, b: tuple) -> tuple[tuple, tuple]:

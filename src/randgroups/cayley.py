@@ -2,23 +2,38 @@
 geodesic structure checks: digon rigidity, single-layer coverage, and
 distance-minimizer rigidity.
 
-Ball construction is a breadth-first search over canonical words (the
-lexicographically least geodesics).  A new word w = words[u]*g, u at
-distance k, joins an existing vertex v only when w = v is certified, by
-one of two rules.  Inside the short window |w| + k + 1 < 2l - 2*maxpiece
-a nonempty trivial word is a conjugate of a symmetrized element r (a
-diagram with two or more faces has a longer boundary).  Write w = c*x
-and v = c*y with c their longest common prefix: unless w is already a
-vertex word, x and y also end differently, so x*y^-1 is the cyclically
-reduced core of w*v^-1 and must be r itself.  So the vertex equal to w
-is looked up, not searched for: for each suffix x of w that is a prefix
-of an element r = x*y^-1, the candidate is the vertex c*y.  A hit is
-equal to w, since w*v^-1 is conjugate to r, and inside the window a miss
-proves w new.  x is looked up in Dehn's index (cancellation._dehn_index)
-and y read off r.  Outside the window a miss is followed by a class scan:
-each vertex v at distance k-1..k+1 in w's class in the abelianization
-modulo the relator lattice is tested with is_trivial(w*v^-1), complete
-under C'(1/6).
+Ball construction is a breadth-first search a layer at a time.  Every
+vertex at distance k has a canonical word (the least geodesic in the
+letter order a, A, b, B, ...) of exactly k letters, so layer k is an
+(n_k, k) int8 array, and the candidates for layer k + 1 are its rows
+times every letter that does not cancel their last one, in (u, letter)
+order.  A candidate w = words[u]*g joins an existing vertex v only when
+w = v is certified, by one of two rules.  Inside the short window
+|w| + k + 1 < 2l - 2*maxpiece a nonempty trivial word is a conjugate of
+a symmetrized element r (a diagram with two or more faces has a longer
+boundary).  Write w = c*x and v = c*y with c their longest common
+prefix: w is no vertex word yet, so x and y also end differently, x*y^-1
+is the cyclically reduced core of w*v^-1 and must be r itself, and
+l/2 <= |x| <= l/2 + 1, since v is no longer than w and x less its last
+letter lies on the geodesic words[u].  So the vertex equal to w is
+looked up, not searched for: each suffix x of those lengths is looked
+up among the prefixes of the symmetrized elements
+(cancellation._relator_halves), y is read off r = x*y^-1, and c*y is
+looked up among the words of its layer.  Both lookups compare uint64
+window hashes (cancellation._window_hashes) in sorted tables and
+confirm every hit letter by letter, so a collision costs time, never
+exactness.  A hit is equal to w, since w*v^-1 is conjugate to r, and
+inside the window a miss proves w new.  When l is even, |y| can equal
+|x|, so two candidates of one layer can be equal: the first in
+(u, letter) order is kept, and vertices are numbered in that order.  The
+candidates of the outermost layer k = R only get edges.
+
+Outside the window the layers are built the same way, and each
+candidate whose lookups miss goes, one at a time in (u, letter) order,
+to a class scan: each vertex v at distance k-1..k+1 in w's class in the
+abelianization modulo the relator lattice, the new vertices of the layer
+so far included, is tested with is_trivial(w*v^-1), complete under
+C'(1/6).
 
 Geometric claims are asserted only for reliable pairs, under the
 containment criterion d(1,u) + d(1,v) + d(u,v) <= 2R: every true
@@ -38,12 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .words import Word, Presentation, _raw, free_reduce, invert
 from .cancellation import is_trivial, symmetrize, max_piece_length
-from .cancellation import _require_sixth, _dehn_index, _prefix_sizes
+from .cancellation import _require_sixth, _prefix_sizes, _relator_halves, _window_hashes
 from .diagrams import _find
 
 
@@ -141,14 +157,23 @@ def _column(g: int) -> int:
 class CayleyBall:
     presentation: Presentation
     radius: int
-    words: list[Word]          # canonical (lexicographically least geodesic) words
-    index: dict[Word, int]
+    codes: np.ndarray          # V x R int8: row v starts with the canonical word of v, then 0s
+    parent: np.ndarray         # the vertex of the canonical word less its last letter (0 for 0)
     dist: np.ndarray           # graph distance from the identity
     adj: np.ndarray            # V x 2n, adj[v][col] = neighbor or -1 (outside)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.words)
+        return len(self.dist)
+
+    @cached_property
+    def words(self) -> list[Word]:
+        """The canonical (lexicographically least geodesic) words, made on first use."""
+        return [_raw(row[:d]) for row, d in zip(self.codes.tolist(), self.dist.tolist())]
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return {w: v for v, w in enumerate(self.words)}
 
     def column(self, g: int) -> int:
         return _column(g)
@@ -212,113 +237,136 @@ def _letter_order(n: int) -> list[int]:
     return out
 
 
-def _append_reduce(w: Word, g: int) -> Word:
-    if w and w[-1] == -g:
-        return _raw(w[:-1])
-    return _raw(w + (g,))
+def _hash_matches(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, e) with keys[e] == q[i], keys sorted: the places
+    where query i may match, still to be compared letter by letter."""
+    lo = np.searchsorted(keys, q, "left")
+    n = np.searchsorted(keys, q, "right") - lo
+    i = np.repeat(np.arange(len(q)), n)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
 def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBall:
-    """Breadth-first ball of radius R with certified vertex identification.
+    """Breadth-first ball of radius R with certified vertex identification,
+    a layer at a time (see the module docstring).
 
     Requires a C'(1/6) presentation (Dehn equality is then complete), and
-    R >= 1.  Raises BallBudgetExceeded past max_vertices.
+    R >= 1.  Raises BallBudgetExceeded past max_vertices, before the
+    arrays of the layer that would pass it are made.
     """
     _require_sixth(p)
     if R < 1:
         raise ValueError("radius must be >= 1")
-    n = p.rank
-    l = p.length
-    reducer = _AbelianReducer(p)
-    # the element r = x*y^-1 that each prefix x, l/2 <= |x| <= l/2 + 1, starts
-    starts, sizes = _dehn_index(p), _prefix_sizes(l)
+    n, l, m = p.rank, p.length, 2 * p.rank
     # Short trivial words are conjugates of relators: a reduced diagram
     # with two faces has boundary longer than 2l - 2*maxpiece (and
     # bridged or larger diagrams longer still), so below that threshold
     # triviality is exactly cyclic reduction into the symmetrized set.
     if p.relators:
         short_window = 2 * l - 2 * max_piece_length(p).max_piece_length
+        halves = [(j, *_relator_halves(p, j)) for j in _prefix_sizes(l)]
     else:
-        short_window = math.inf
+        short_window, halves = math.inf, []
     # Abelian classes serve only the certification outside the window.
-    classes = 2 * R + 1 >= short_window
+    if 2 * R + 1 >= short_window:
+        reducer = _AbelianReducer(p)
+        vecs = [reducer.reduce((0,) * n)]
+        by_class = {vecs[0]: [(0, 0, Word())]}  # class -> (vertex, distance, word)
+    else:
+        by_class = None
+    letters = np.array(_letter_order(n), np.int8)  # letters[c] labels adjacency column c
 
-    words: list[Word] = [Word()]
-    index: dict[Word, int] = {Word(): 0}
-    dist: list[int] = [0]
-    vecs: list[tuple[int, ...]] = [reducer.reduce((0,) * n)]
-    by_class: dict[tuple[int, ...], list[int]] = {vecs[0]: [0]}
-    # flat, adj[v * m + column]: one list slot per edge end, not a list per vertex
-    m = 2 * n
-    adj: list[int] = [-1] * m
-
-    def candidate_vec(u: int, g: int) -> tuple[int, ...]:
-        v = list(vecs[u])
-        v[abs(g) - 1] += 1 if g > 0 else -1
-        return reducer.reduce(tuple(v))
-
-    def find(w: Word, u: int, g: int, k: int) -> int | None:
-        """The vertex equal to w = words[u]*g, u at distance k, if any."""
-        v = index.get(w)
-        if v is not None:
-            return v
-        # Otherwise |w| = k + 1, and a vertex equal to w has a canonical
-        # word c*y, where w = c*x, |y| <= |x| and x*y^-1 is cyclically
-        # reduced; inside the window x*y^-1 is then symmetrized (see the
-        # module docstring), and |x| <= l/2 + 1 because x less its last
-        # letter is part of the geodesic words[u].
-        for j in sizes:
+    # layer k: its words, their window hashes sorted and the order that
+    # sorts them, its first vertex and the parents of its vertices
+    rows = [np.zeros((1, 0), np.int8)]
+    keys = [np.zeros(1, np.uint64)]
+    orders = [np.zeros(1, np.intp)]
+    starts = [0]
+    parent = [np.zeros(1, np.int32)]
+    adj = np.full((1, m), -1, np.int32)
+    V = 1
+    for k in range(R + 1):
+        first = starts[k]
+        u = np.repeat(np.arange(len(rows[k])), m)
+        col = np.tile(np.arange(m), len(rows[k]))
+        if k:
+            keep = letters[col] != -rows[k][u, -1]
+            u, col = u[keep], col[keep]
+        cand = np.concatenate([rows[k][u], letters[col, None]], axis=1)
+        ch = _window_hashes(cand, k + 1, n)[:, 0]
+        found = np.full(len(cand), -1, np.int64)  # an equal vertex of layer k + 1 - 2j + l <= k
+        same = np.full(len(cand), -1, np.int64)   # an equal candidate (|y| = |x|)
+        for j, halves_j, elements in halves:
             if j > k + 1:
                 break
-            r = starts.get(w[k + 1 - j :])
-            if r is not None:
-                v = index.get(w[: k + 1 - j] + invert(r[j:]))
-                if v is not None:
-                    return v
-        if k + 1 + min(k + 1, R) < short_window:
-            return None
-        for cand in by_class.get(candidate_vec(u, g), ()):
-            if dist[cand] >= k - 1 and is_trivial(w.concat(invert(words[cand])), p):
-                return cand
-        return None
-
-    moves = [(g, _column(g), _column(-g)) for g in _letter_order(n)]
-    layers: list[list[int]] = [[0]]
-    for k in range(R + 1):
-        nxt: list[int] = []
-        for u in layers[k]:
-            for g, c, back in moves:
-                if adj[u * m + c] >= 0:
-                    continue
-                w = _append_reduce(words[u], g)
-                v = find(w, u, g, k)
-                if v is None:
-                    if k == R:  # the outermost layer gets edges, no vertices
+            at = k + 1 + l - 2 * j  # the layer of c * y
+            if at > R:
+                continue
+            i, e = _hash_matches(halves_j, _window_hashes(cand[:, k + 1 - j :], j, n)[:, 0])
+            ok = (elements[e, :j] == cand[i, k + 1 - j :]).all(axis=1)
+            i, e = i[ok], e[ok]
+            target = np.concatenate([cand[i, : k + 1 - j], -elements[e, j:][:, ::-1]], axis=1)
+            th = _window_hashes(target, at, n)[:, 0]
+            if at <= k:
+                t, e = _hash_matches(keys[at], th)
+                v = orders[at][e]
+                ok = (rows[at][v] == target[t]).all(axis=1)
+                found[i[t[ok]]] = starts[at] + v[ok]
+            else:
+                order = np.argsort(ch)
+                t, e = _hash_matches(ch[order], th)
+                v = order[e]
+                ok = (cand[v] == target[t]).all(axis=1)
+                same[i[t[ok]]] = v[ok]
+        back = np.flatnonzero((same >= 0) & (same < np.arange(len(cand))))
+        new = found < 0
+        new[back] = False
+        if by_class is not None:
+            scan = k + 1 + min(k + 1, R) >= short_window
+            made = V
+            for i in np.flatnonzero(new).tolist():
+                vec = list(vecs[first + u[i]])
+                g = int(letters[col[i]])
+                vec[abs(g) - 1] += 1 if g > 0 else -1
+                key = reducer.reduce(tuple(vec))
+                w = _raw(cand[i].tolist())
+                if scan:
+                    hit = next((x for x, d, word in by_class.get(key, ()) if d >= k - 1
+                                and is_trivial(w.concat(invert(word)), p)), None)
+                    if hit is not None:
+                        new[i], found[i] = False, hit
                         continue
-                    if len(words) >= max_vertices:
-                        raise BallBudgetExceeded(len(words), k)
-                    v = len(words)
-                    words.append(w)
-                    index[w] = v
-                    dist.append(k + 1)
-                    if classes:
-                        key = candidate_vec(u, g)
-                        vecs.append(key)
-                        by_class.setdefault(key, []).append(v)
-                    adj.extend([-1] * m)
-                    nxt.append(v)
-                adj[u * m + c] = v
-                adj[v * m + back] = u
-        layers.append(nxt)
+                if k < R:
+                    vecs.append(key)
+                    by_class.setdefault(key, []).append((made, k + 1, w))
+                    made += 1
+        vid = found
+        if k < R:
+            count = int(np.count_nonzero(new))
+            if V + count > max_vertices:
+                raise BallBudgetExceeded(max_vertices, k)
+            vid[new] = np.arange(V, V + count)
+            # a candidate equal to an earlier one takes its vertex; a chain
+            # of them settles one link a pass
+            while (vid[back] != vid[same[back]]).any():
+                vid[back] = vid[same[back]]
+            rows.append(cand[new])
+            orders.append(np.argsort(ch[new]))
+            keys.append(ch[new][orders[-1]])
+            starts.append(V)
+            parent.append((first + u[new]).astype(np.int32))
+            adj = np.concatenate([adj, np.full((count, m), -1, np.int32)])
+            V += count
+        ok = vid >= 0
+        src = first + u[ok]
+        adj[src, col[ok]] = vid[ok]
+        adj[vid[ok], col[ok] ^ 1] = src  # columns 2i and 2i + 1 hold inverse letters
 
-    return CayleyBall(
-        p,
-        R,
-        words,
-        index,
-        np.array(dist, dtype=np.int32),
-        np.array(adj, dtype=np.int32).reshape(-1, m),
-    )
+    codes = np.zeros((V, R), np.int8)
+    for k, r in enumerate(rows):
+        codes[starts[k] : starts[k] + len(r), :k] = r
+    dist = np.repeat(np.arange(len(rows), dtype=np.int32), [len(r) for r in rows])
+    return CayleyBall(p, R, codes, np.concatenate(parent), dist, adj)
 
 
 # -- reliability ---------------------------------------------------------------
@@ -728,20 +776,18 @@ def _minimizer_scan(ball: CayleyBall):
     path is, since d(1, x) + d(c, x) <= d(1, w) + d(c, w).  So the triples
     checked are the reliable pairs (c, w), w != 1, which _reliable_pairs
     finds with their distances, and the minimizers over a path are folded
-    in from those over the path to the parent of w.  Sources run in
-    blocks sized from the pairs per source of the block before, so that a
-    block holds about _PAIR_BUDGET pairs.
+    in from those over the path to ball.parent[w].  A source reaches at
+    most V pairs, so the first block takes _PAIR_BUDGET // V sources; the
+    later ones are sized from the pairs per source of the block before,
+    so that a block holds about _PAIR_BUDGET pairs.
     """
     V = ball.n_vertices
     R = ball.radius
     d1 = ball.dist
-    # the path of words[w] is the path of words[parent[w]] followed by w
-    last = np.array([w[-1] if w else 1 for w in ball.words])
-    parent = ball.adj[np.arange(V), (np.abs(last) - 1) * 2 + (last > 0)]
-    parent[0] = 0
+    parent = ball.parent
     checked = 0
     violations = []
-    c0, block = 0, 1
+    c0, block = 0, max(1, _PAIR_BUDGET // V)
     while c0 < V:
         keys, dist = _reliable_pairs(ball, np.arange(c0, min(c0 + block, V)))
         s, x = np.divmod(keys, V)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-
 import numpy as np
 
 from .words import (
@@ -37,7 +35,7 @@ from .words import (
     invert,
     char_to_letter,
 )
-from .cancellation import is_trivial, _require_sixth, _dehn_index, _prefix_sizes
+from .cancellation import is_trivial, _require_sixth, _prefix_sizes, _relator_halves, _window_hashes
 from .cayley import BallBudgetExceeded, build_ball
 
 
@@ -299,18 +297,11 @@ class BudgetExceeded(RuntimeError):
 _BLOCK_ROWS = 2048
 
 
-def _padded(words: list[Word]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The words as an int8 array, one row each, padded on the right with
-    0; their inverses padded the same way; and their lengths."""
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    filled = np.arange(lengths.max()) < lengths[:, None]
-    letters = np.fromiter(chain.from_iterable(words), dtype=np.int8, count=int(lengths.sum()))
-    fwd = np.zeros(filled.shape, np.int8)
-    fwd[filled] = letters
-    # all letters reversed and negated are the inverses, last word first
-    inv = np.zeros(filled.shape, np.int8)
-    inv[filled[::-1]] = -letters[::-1]
-    return fwd, inv[::-1], lengths
+def _inverses(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The inverse of the word in the first lengths[i] letters of each row
+    of codes, padded on the right with 0 as the rows are."""
+    back = lengths[:, None] - 1 - np.arange(codes.shape[1])
+    return np.where(back >= 0, -np.take_along_axis(codes, back.clip(0), axis=1), 0).astype(np.int8)
 
 
 def _tuple_blocks(lengths: np.ndarray, k: int):
@@ -383,29 +374,6 @@ def _substitute_rows(t: TemplateWord, rows: np.ndarray, col: dict[str, int],
     return stack[:, 1:], top - base
 
 
-def _window_hashes(letters: np.ndarray, h: int, rank: int) -> np.ndarray:
-    """A Horner hash, wrapping in uint64, of each h-letter window of each
-    row: column i hashes letters[:, i : i + h]."""
-    wins = letters.shape[1] - h + 1
-    out = np.zeros((len(letters), max(wins, 0)), np.uint64)
-    if wins > 0:
-        codes = letters.view(np.uint8) + np.uint8(rank)  # letter + rank, mod 256
-        for i in range(h):
-            out *= np.uint64(2 * rank + 1)
-            out += codes[:, i : i + wins]
-    return out
-
-
-def _relator_halves(p: Presentation) -> tuple[np.ndarray, int]:
-    """The sorted window hashes of the floor(l/2) + 1-letter prefixes of
-    the symmetrized relators, and that window length.  (np.sort, not
-    np.unique: a repeat is harmless to searchsorted, and np.unique would
-    import numpy.ma, about 1 MiB, on its first call.)"""
-    h = _prefix_sizes(p.length)[-1]
-    halves = [key for key in _dehn_index(p) if len(key) == h] if p.relators else []
-    return np.sort(_window_hashes(np.array(halves, np.int8).reshape(-1, h), h, p.rank), axis=None), h
-
-
 def _holds_half(letters: np.ndarray, n: np.ndarray, keys: np.ndarray, h: int, rank: int) -> np.ndarray:
     """Whether the first n[i] letters of row i have an h-letter window
     whose hash is among the keys: a window at i fits when i + h <= n."""
@@ -417,15 +385,17 @@ def _holds_half(letters: np.ndarray, n: np.ndarray, keys: np.ndarray, h: int, ra
     return hit.any(axis=1)
 
 
-def _falsified_blocks(c: EquationalClause, p: Presentation, universe: list[Word]):
-    """Each block of _tuple_blocks over the universe, with the positions
-    of its rows (assignments of c.variables() in order) that falsify c in
-    the group of p.  A literal is decided on all rows at once, by the
-    screen refute_on_ball_group describes; conclusions only on the rows
-    where every hypothesis holds."""
+def _falsified_blocks(c: EquationalClause, p: Presentation, codes: np.ndarray, lengths: np.ndarray):
+    """Each block of _tuple_blocks over the universe, the words in the
+    first lengths[i] letters of each row of codes, with the positions of
+    its rows (assignments of c.variables() in order) that falsify c in the
+    group of p.  A literal is decided on all rows at once, by the screen
+    refute_on_ball_group describes; conclusions only on the rows where
+    every hypothesis holds."""
     col = {v: j for j, v in enumerate(c.variables())}
-    fwd, inv, lengths = _padded(universe)
-    keys, h = _relator_halves(p)
+    fwd, inv = codes, _inverses(codes, lengths)
+    h = _prefix_sizes(p.length)[-1]
+    keys = _relator_halves(p, h)[0]
 
     def trivial(t: TemplateWord, rows: np.ndarray) -> np.ndarray:
         letters, n = _substitute_rows(t, rows, col, fwd, inv)
@@ -454,8 +424,9 @@ def refute_on_ball_group(
 
     The universe is the Cayley ball of radius L, one canonical word per
     element in the order build_ball finds them (by length, then
-    lexicographically); the free group of rank n is Presentation(n).
-    Assignments come by total length, then by position in the universe.
+    lexicographically), read from the ball's code rows; the free group of
+    rank n is Presentation(n).  Assignments come by total length, then by
+    position in the universe, and a Word is made only for the witness.
     The budget caps the number of tuples: the ball is built under it, so
     a universe too large raises BudgetExceeded before any tuple exists.
 
@@ -467,8 +438,9 @@ def refute_on_ball_group(
     trivial, a word with no window of floor(l/2) + 1 letters from a
     symmetrized relator is nontrivial (Dehn's algorithm leaves it as it
     is), and only the words with such a window go to is_trivial, one at a
-    time.  The windows are screened by uint64 Horner hashes; a collision
-    only sends a word to is_trivial, so the verdicts stay exact.  The
+    time.  The windows are screened by uint64 Horner hashes in the table
+    of relator prefixes that ball completion reads; a collision only
+    sends a word to is_trivial, so the verdicts stay exact.  The
     witness is the first falsifying row of the first block that has one,
     which is the first falsifying tuple in order.
     """
@@ -478,20 +450,21 @@ def refute_on_ball_group(
     if L < 0:
         raise ValueError(f"ball radius must be >= 0, got {L}")
     if L == 0 or k == 0:
-        universe = [Word()]
+        codes, lengths = np.zeros((1, 0), np.int8), np.zeros(1, np.int32)
     else:
         # at least budget**(1/k) vertices, so the exact tuple count decides
         cap = math.inf if budget is None else int(budget ** (1 / k)) + 1
         try:
-            universe = build_ball(p, L, max_vertices=cap).words
+            ball = build_ball(p, L, max_vertices=cap)
         except BallBudgetExceeded as e:
             raise BudgetExceeded((e.vertices + 1) ** k) from None
-    count = len(universe) ** k
+        codes, lengths = ball.codes, ball.dist
+    count = len(lengths) ** k
     if budget is not None and count > budget:
         raise BudgetExceeded(count)
-    for block, bad in _falsified_blocks(c, p, universe):
+    for block, bad in _falsified_blocks(c, p, codes, lengths):
         if len(bad):
-            return dict(zip(vars_, (universe[i] for i in block[bad[0]].tolist())))
+            return {v: Word(codes[i, : lengths[i]].tolist()) for v, i in zip(vars_, block[bad[0]].tolist())}
     return None
 
 

@@ -418,6 +418,89 @@ def build_ball_oracle(p: Presentation, R: int):
     return words, dist, adj
 
 
+def build_ball_per_word(p: Presentation, R: int):
+    """cayley.build_ball one word at a time, with Python words and dicts:
+    each new word words[u]*g is looked up by relator completion through
+    Dehn's index, and outside the short window a miss goes on to the
+    abelian class scan.  It reads Dehn's index and cayley's abelian
+    reducer, but none of the layer arrays or hash tables.  Returns
+    (words, dist, adj) laid out as in cayley.CayleyBall."""
+    import math
+
+    from randgroups.cancellation import (
+        _dehn_index,
+        _prefix_sizes,
+        _require_sixth,
+        is_trivial,
+        max_piece_length,
+    )
+    from randgroups.cayley import _AbelianReducer
+
+    _require_sixth(p)
+    n, l = p.rank, p.length
+    reducer = _AbelianReducer(p)
+    starts, sizes = _dehn_index(p), _prefix_sizes(l)
+    short_window = 2 * l - 2 * max_piece_length(p).max_piece_length if p.relators else math.inf
+    classes = 2 * R + 1 >= short_window
+    letters = [g for i in range(1, n + 1) for g in (i, -i)]
+    column = {g: c for c, g in enumerate(letters)}
+    words, dist, adj = [Word()], [0], [[-1] * len(letters)]
+    index = {Word(): 0}
+    vecs = [reducer.reduce((0,) * n)]
+    by_class = {vecs[0]: [0]}
+
+    def candidate_vec(u, g):
+        v = list(vecs[u])
+        v[abs(g) - 1] += 1 if g > 0 else -1
+        return reducer.reduce(tuple(v))
+
+    def find(w, u, g, k):
+        v = index.get(w)
+        if v is not None:
+            return v
+        for j in sizes:
+            if j > k + 1:
+                break
+            r = starts.get(w[k + 1 - j :])
+            if r is not None:
+                v = index.get(w[: k + 1 - j] + invert(r[j:]))
+                if v is not None:
+                    return v
+        if k + 1 + min(k + 1, R) < short_window:
+            return None
+        for cand in by_class.get(candidate_vec(u, g), ()):
+            if dist[cand] >= k - 1 and is_trivial(w.concat(invert(words[cand])), p):
+                return cand
+        return None
+
+    layers = [[0]]
+    for k in range(R + 1):
+        nxt = []
+        for u in layers[k]:
+            for g in letters:
+                if adj[u][column[g]] >= 0:
+                    continue
+                w = free_reduce(words[u].concat(Word([g])))
+                v = find(w, u, g, k)
+                if v is None:
+                    if k == R:
+                        continue
+                    v = len(words)
+                    words.append(w)
+                    index[w] = v
+                    dist.append(k + 1)
+                    if classes:
+                        key = candidate_vec(u, g)
+                        vecs.append(key)
+                        by_class.setdefault(key, []).append(v)
+                    adj.append([-1] * len(letters))
+                    nxt.append(v)
+                adj[u][column[g]] = v
+                adj[v][column[-g]] = u
+        layers.append(nxt)
+    return words, dist, adj
+
+
 def distance_minimizers(ball, base: list[int], c: int) -> list[int]:
     """Vertices of a geodesic minimizing the distance to c.
 

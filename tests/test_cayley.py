@@ -1,8 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from randgroups.words import Word, Presentation, free_reduce, invert
+from randgroups.words import Word, Presentation, free_reduce, invert, rotate
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word
 from randgroups import cayley
 from randgroups.cancellation import satisfies_cprime, equal_in_group, max_piece_length
@@ -24,6 +25,7 @@ from randgroups.cayley import (
 from oracles import (
     brute_all_paths,
     build_ball_oracle,
+    build_ball_per_word,
     distance_minimizers,
     geometry_scan_oracle,
     minimizer_scan_oracle,
@@ -35,6 +37,16 @@ def W(s):
 
 
 FREE2 = Presentation(2, [], 0)
+
+
+def padded_codes(words, R):
+    """The code rows of a fabricated CayleyBall: each word's letters, then 0s."""
+    import numpy as np
+
+    codes = np.zeros((len(words), R), np.int8)
+    for v, text in enumerate(words):
+        codes[v, : len(text)] = W(text)
+    return codes
 
 
 def test_free_ball_vertex_count():
@@ -275,7 +287,8 @@ def synthetic_two_cell_digon():
     for i in range(8):
         add_edge(up[i], up[i + 1], up_letters[i])
     add_edge(4, 12, 4)  # the divisor, letter d
-    ball = CayleyBall(p, 9, [Word()] * V, {}, np.zeros(V, dtype=np.int32), adj)
+    zeros = np.zeros(V, dtype=np.int32)
+    ball = CayleyBall(p, 9, np.zeros((V, 9), np.int8), zeros, zeros, adj)
     return ball, low, up
 
 
@@ -341,7 +354,9 @@ def three_geodesic_ball(ell):
     add_edge(11, 12, 1)
     add_edge(12, 6, 2)
     dist = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 3, 4, 5], dtype=np.int32)
-    return CayleyBall(p, 6, [Word()] * V, {}, dist, adj)
+    words = ["", "a", "aa", "aaa", "aaaa", "aaaaa", "aaaaaa", "b", "ba", "baa", "aac", "aaca", "aacaa"]
+    parent = np.array([0, 0, 1, 2, 3, 4, 5, 0, 7, 8, 2, 10, 11], dtype=np.int32)
+    return CayleyBall(p, 6, padded_codes(words, 6), parent, dist, adj)
 
 
 def test_single_layer_merges_overlapping_digons():
@@ -471,6 +486,78 @@ def test_build_ball_matches_class_free_oracle(p, R, inside):
     assert ball.index == {w: v for v, w in enumerate(words)}
 
 
+def word_problem_presentation(l):
+    """The word-problem benchmark's presentation of length l: the first
+    C'(1/6) rank-2 relator from seed 0 on that is no proper power."""
+    s = 0
+    while True:
+        p = sample_presentation(DensityParams(2, 0, l, s))
+        r = p.relators[0]
+        if satisfies_cprime(p, Fraction(1, 6)) and all(rotate(r, k) != r for k in range(1, l)):
+            return p
+        s += 1
+
+
+@pytest.mark.parametrize(
+    "p, R, vertices",
+    [
+        (word_problem_presentation(16), 8, 13105),               # the torsion query's ball
+        (first_cprime(3, 0, 8, Fraction(1, 6)), 5, 4599),        # even l: same-layer identifications
+        (first_cprime(3, 0, 10, Fraction(1, 6)), 6, 23327),
+        (FREE2, 8, 13121),
+        (Presentation(3, [W("abc")]), 4, 511),                   # outside the short window
+    ],
+)
+def test_build_ball_matches_per_word_build(p, R, vertices):
+    # the layer arrays and hash lookups against one word at a time with
+    # Python words and dicts
+    ball = build_ball(p, R)
+    words, dist, adj = build_ball_per_word(p, R)
+    assert ball.n_vertices == vertices
+    assert ball.words == words
+    assert ball.dist.tolist() == dist
+    assert ball.adj.tolist() == adj
+    assert ball.parent.tolist() == [0] + [ball.vertex_of_word(w[:-1]) for w in words[1:]]
+
+
+def test_build_ball_is_exact_when_hashes_collide(monkeypatch):
+    # three bits of hash put most rows of a table in one bucket: every
+    # lookup then rests on the letter-by-letter compare
+    import numpy as np
+    from randgroups import cancellation
+
+    full = cancellation._window_hashes
+
+    def coarse(letters, h, rank):
+        return full(letters, h, rank) & np.uint64(7)
+
+    p = first_cprime(3, 0, 8, Fraction(1, 6))
+    monkeypatch.setattr(cancellation, "_window_hashes", coarse)
+    monkeypatch.setattr(cayley, "_window_hashes", coarse)
+    cancellation._relator_halves.cache_clear()
+    try:
+        ball = build_ball(p, 5)
+    finally:
+        cancellation._relator_halves.cache_clear()
+    words, dist, adj = build_ball_per_word(p, 5)
+    assert ball.words == words
+    assert ball.dist.tolist() == dist
+    assert ball.adj.tolist() == adj
+
+
+def test_ball_budget_is_checked_before_the_layer_is_made():
+    # layer 6 of the free ball would hold 972 more words
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallBudgetExceeded) as exc:
+            build_ball(FREE2, 12, max_vertices=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.vertices, exc.value.radius_done) == (1000, 5)
+    assert peak < 1 << 20
+
+
 def test_minimizer_scan_matches_oracle(monkeypatch):
     balls = [build_ball(FREE2, 4)]
     balls += [build_ball(first_cprime(3, 0, l, Fraction(1, 6)), 4) for l in (7, 8, 10)]
@@ -515,9 +602,10 @@ def three_minimizer_ball():
     add_edge(0, 4, c)
     add_edge(4, 1, b)
     add_edge(4, 3, c)
-    words = [W(""), W("a"), W("b"), W("aa"), W("c"), W("aaa")]
+    words = ["", "a", "b", "aa", "c", "aaa"]
     dist = np.array([len(w) for w in words], dtype=np.int32)
-    return CayleyBall(Presentation(3), 3, words, {w: i for i, w in enumerate(words)}, dist, adj)
+    parent = np.array([0, 0, 0, 1, 0, 3], dtype=np.int32)
+    return CayleyBall(Presentation(3), 3, padded_codes(words, 3), parent, dist, adj)
 
 
 def test_minimizer_scan_reports_violations_by_source_then_target():

@@ -8,10 +8,16 @@ but its own definition refers to, and on a non-dunder method of a
 library class that no statement of src/, tests/, scripts/ or bench/
 reads outside its own definition.  It also fails on a knob: a defaulted
 positional parameter of a library function that no call in those trees
-passes, or that every call passes.
+passes, or that every call passes.  Last, importing randgroups.cli in a
+fresh interpreter must load nothing beyond what numpy loads but the
+standard library and randgroups itself, and neither numpy.ma nor
+numpy.random: set-up time is mostly that import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +213,24 @@ def test_no_unvaried_knobs():
     library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     users = [path.read_text() for d in ("tests", "scripts", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
     assert unvaried_knobs(library, users) == []
+
+
+def test_cli_import_loads_only_the_standard_library_beyond_numpy():
+    # a fresh interpreter, so that nothing this test run imported counts
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import randgroups.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    added, numpy_extras = out.stdout.splitlines()
+    foreign = [
+        name for name in added.split()
+        if name.split(".")[0] != "randgroups" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []
+    assert "randgroups.cli" in added.split()
+    assert numpy_extras == "False False"

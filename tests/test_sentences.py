@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from randgroups.words import Word, TemplateWord, Presentation, substitute, free_reduce, rotate
 from randgroups.sampler import DensityParams, sample_presentation, sample_reduced_word, stream
-from randgroups.cancellation import satisfies_cprime, _dehn_index
+from randgroups.cancellation import satisfies_cprime, _dehn_index, _prefix_sizes, _relator_halves
 from randgroups.cayley import build_ball
 from randgroups.sentences import (
     parse_sentence,
@@ -24,7 +24,6 @@ from randgroups.sentences import (
     _BLOCK_ROWS,
     _falsified_blocks,
     _holds_half,
-    _relator_halves,
     _tuple_blocks,
 )
 
@@ -356,9 +355,13 @@ def _check_blocks_against_oracle(c, p, L):
     come in the oracle's order, and refute_on_ball_group returns the first
     falsifying one.  Returns (tuples, falsified)."""
     vars_ = c.variables()
-    universe = build_ball(p, L).words if L and vars_ else [Word()]
+    if L and vars_:
+        ball = build_ball(p, L)
+        universe, codes, lengths = ball.words, ball.codes, ball.dist
+    else:
+        universe, codes, lengths = [Word()], np.zeros((1, 0), np.int8), np.zeros(1, np.int32)
     tuples, verdicts = [], []
-    for block, bad in _falsified_blocks(c, p, universe):
+    for block, bad in _falsified_blocks(c, p, codes, lengths):
         falsified = np.zeros(len(block), bool)
         falsified[bad] = True
         for row, f in zip(block.tolist(), falsified.tolist()):
@@ -385,14 +388,15 @@ def test_screen_reads_every_window_that_fits():
     # row 0 ends in the first floor(l/2) + 1 letters of the relator; row 1
     # holds the same letters but ends one short, so that window is stale
     p = _fixed_presentation(16)
-    keys, h = _relator_halves(p)
+    h = _prefix_sizes(p.length)[-1]
+    keys = _relator_halves(p, h)[0]
     r = p.relators[0]
     g = next(x for x in (1, -1, 2, -2) if x != -r[0] and (x, *r[: h - 1]) not in _dehn_index(p))
     letters = np.array([[g, *r[:h]]] * 2, np.int8)
     n = np.array([h + 1, h])
     assert _holds_half(letters, n, keys, h, p.rank).tolist() == [True, False]
-    free_keys, free_h = _relator_halves(Presentation(2))
-    assert _holds_half(letters, n, free_keys, free_h, 2).tolist() == [False, False]
+    free_keys = _relator_halves(Presentation(2), 0)[0]
+    assert _holds_half(letters, n, free_keys, h, 2).tolist() == [False, False]
 
 
 def test_relator_half_reaches_is_trivial(monkeypatch):
