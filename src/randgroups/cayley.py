@@ -287,15 +287,15 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
     V = 1
     for k in range(R + 1):
         first = starts[k]
-        u = np.repeat(np.arange(len(rows[k])), m)
-        col = np.tile(np.arange(m), len(rows[k]))
+        u = np.repeat(np.arange(len(rows[k]), dtype=np.int32), m)
+        col = np.tile(np.arange(m, dtype=np.int32), len(rows[k]))
         if k:
             keep = letters[col] != -rows[k][u, -1]
             u, col = u[keep], col[keep]
         cand = np.concatenate([rows[k][u], letters[col, None]], axis=1)
         ch = _window_hashes(cand, k + 1, n)[:, 0]
-        found = np.full(len(cand), -1, np.int64)  # an equal vertex of layer k + 1 - 2j + l <= k
-        same = np.full(len(cand), -1, np.int64)   # an equal candidate (|y| = |x|)
+        found = np.full(len(cand), -1, np.int32)  # an equal vertex of layer k + 1 - 2j + l <= k
+        same = np.full(len(cand), -1, np.int32)   # an equal candidate (|y| = |x|)
         for j, halves_j, elements in halves:
             if j > k + 1:
                 break
@@ -318,7 +318,7 @@ def build_ball(p: Presentation, R: int, max_vertices: int = 200_000) -> CayleyBa
                 v = order[e]
                 ok = (cand[v] == target[t]).all(axis=1)
                 same[i[t[ok]]] = v[ok]
-        back = np.flatnonzero((same >= 0) & (same < np.arange(len(cand))))
+        back = np.flatnonzero((same >= 0) & (same < np.arange(len(cand), dtype=np.int32)))
         new = found < 0
         new[back] = False
         if by_class is not None:

@@ -299,9 +299,13 @@ _BLOCK_ROWS = 2048
 
 def _inverses(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The inverse of the word in the first lengths[i] letters of each row
-    of codes, padded on the right with 0 as the rows are."""
-    back = lengths[:, None] - 1 - np.arange(codes.shape[1])
-    return np.where(back >= 0, -np.take_along_axis(codes, back.clip(0), axis=1), 0).astype(np.int8)
+    of codes, padded on the right with 0 as the rows are.  The lengths
+    ascend, as in a ball, so the rows of one length are one slice."""
+    inv = np.zeros_like(codes)
+    ends = np.searchsorted(lengths, np.arange(codes.shape[1] + 1), "right")
+    for d in range(1, codes.shape[1] + 1):
+        inv[ends[d - 1] : ends[d], :d] = -codes[ends[d - 1] : ends[d], d - 1 :: -1]
+    return inv
 
 
 def _tuple_blocks(lengths: np.ndarray, k: int):
