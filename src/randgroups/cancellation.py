@@ -18,8 +18,19 @@ piece of length k exists exactly when two labels are equal, so a probe
 is one in-place int64 sort and a neighbour compare, 8 bytes a gram
 whatever k is.  Piece lengths are downward closed (a prefix of a piece
 is a piece at the same occurrences), so C'(lambda) is one kernel call
-at k = ceil(lambda * l), and the maximum piece length is a binary
-search over k.
+at k = ceil(lambda * l), or none when pigeonhole forces a piece of that
+length: the grams are reduced words, and more grams than reduced
+k-letter words repeat one (_forced_piece_length).
+
+The maximum piece length is a binary search that starts at that floor.
+The packed labels at the longest length known to have a piece are held
+and extended in place, one Horner pass a letter: a probe extends a copy
+of them in one scratch array and sorts it, and a hit extends the held
+labels.  Only a maximum at the top of the packed range sends the search
+on to pair labels.  The witnesses come from the held labels: their
+sorted copy gives the repeated values, the grams carrying them are
+marked, and only those few are stable-sorted.  On packed labels at most
+two (2N, l) int64 arrays are held, beside the readings and one bool mask.
 
 Dehn's algorithm repeatedly replaces a subword u with |u| > l/2 of some
 symmetrized element r = u v by v^-1.  On C'(1/6) presentations this
@@ -98,6 +109,16 @@ def _readings(p: Presentation) -> np.ndarray:
 
 _KEY_LIMIT = 2**63
 _RANK_SLICE = 1 << 20
+_MARK_SLICE = 1 << 12
+
+
+def _horner(keys: np.ndarray, codes: np.ndarray, base: int, start: int, stop: int) -> None:
+    """Extend the packed labels of the cyclic start-grams, in place, to
+    those of the stop-grams: one pass a letter, as base-2n digits."""
+    l = keys.shape[1]
+    for t in range(start, stop):
+        keys *= base
+        keys += codes[:, t : t + l]
 
 
 def _labels(codes: np.ndarray, base: int, k: int) -> tuple[np.ndarray, int]:
@@ -109,9 +130,7 @@ def _labels(codes: np.ndarray, base: int, k: int) -> tuple[np.ndarray, int]:
     l = codes.shape[1] // 2
     if base**k < _KEY_LIMIT:
         keys = codes[:, :l].astype(np.int64)
-        for t in range(1, k):
-            keys *= base
-            keys += codes[:, t : t + l]
+        _horner(keys, codes, base, 1, k)
         return keys, base**k
     h = (k + 1) // 2
     keys, _ = _labels(codes, base, h)
@@ -143,11 +162,35 @@ def _dense_ranks(keys: np.ndarray) -> int:
     return top + 1
 
 
+def _sorted_repeats(keys: np.ndarray) -> bool:
+    """Sort keys in place; whether two of them are equal."""
+    flat = keys.reshape(-1)
+    flat.sort()
+    return bool((flat[1:] == flat[:-1]).any())
+
+
 def _has_piece(codes: np.ndarray, base: int, k: int) -> bool:
     """Whether some length-k word has two distinct cyclic occurrences."""
-    keys = _labels(codes, base, k)[0].reshape(-1)
-    keys.sort()
-    return bool((keys[1:] == keys[:-1]).any())
+    return _sorted_repeats(_labels(codes, base, k)[0])
+
+
+def _forced_piece_length(n: int, grams: int, l: int) -> int:
+    """The largest k <= l with 2n(2n-1)^(k-1) < grams: a piece of every
+    length up to k exists when `grams` = 2N*l cyclic grams are read off
+    the cyclically reduced relators of length l at rank n.
+
+    Proof.  For k <= l each cyclic k-gram reads k cyclically consecutive
+    letters of a cyclically reduced relator, so it is a reduced word, and
+    there are 2n(2n-1)^(k-1) reduced words of length k.  When the 2N*l
+    grams, each at its own occurrence, outnumber them, two occurrences
+    read the same word: a piece of length k.  The count grows with k, so
+    the condition holds at every length up to the floor, as the downward
+    closure of pieces also requires."""
+    k, words = 0, 2 * n
+    while k < l and words < grams:
+        k += 1
+        words *= 2 * n - 1
+    return k
 
 
 def _gate_length(lam, l: int) -> int:
@@ -158,50 +201,97 @@ def _gate_length(lam, l: int) -> int:
 def max_piece_length(p: Presentation) -> PieceReport:
     """Exact maximum piece length with witnesses, 0 if no piece exists.
 
-    Binary search over k on the k-gram kernel.  The witnesses are the
+    A binary search over k from the pigeonhole floor, first over the
+    packed range on held labels (see the module docstring), then, when
+    the maximum reaches its top, on pair labels.  The witnesses are the
     pieces of maximum length in word order, each with its first two
     occurrences in (relator, direction, start) reading order.
     """
     if not p.relators:
         return PieceReport(0, [])
-    codes, base = _readings(p), 2 * p.rank
-    if not _has_piece(codes, base, 1):
-        return PieceReport(0, [])
-    lo, hi = 1, p.length  # piece of length lo exists; none of length hi+1
+    codes, base, l = _readings(p), 2 * p.rank, p.length
+    top = 1  # the longest packed length, at most l
+    while top < l and base ** (top + 1) < _KEY_LIMIT:
+        top += 1
+    # the floor passes top only past memory (at rank 2, 4 * 3^31 grams,
+    # about 2.5 * 10^15); min keeps the search exact even so
+    lo, hi = min(_forced_piece_length(p.rank, codes.size // 2, l), top), top
+    keys = _labels(codes, base, max(lo, 1))[0]  # held at lo
+    scratch = np.empty_like(keys)
+    if lo == 0:
+        np.copyto(scratch, keys)
+        if not _sorted_repeats(scratch):
+            return PieceReport(0, [])
+        lo = 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _has_piece(codes, base, mid):
+        np.copyto(scratch, keys)
+        _horner(scratch, codes, base, lo, mid)
+        if _sorted_repeats(scratch):
+            _horner(keys, codes, base, lo, mid)
             lo = mid
         else:
             hi = mid - 1
-    return PieceReport(lo, _witnesses(p, codes, lo))
+    if lo == top < l:
+        keys = scratch = None
+        if _has_piece(codes, base, lo + 1):
+            lo, hi = lo + 1, l
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if _has_piece(codes, base, mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+        keys = _labels(codes, base, lo)[0]
+        scratch = np.empty_like(keys)
+    return PieceReport(lo, _witnesses(p, codes, lo, keys, scratch))
 
 
-def _witnesses(p: Presentation, codes: np.ndarray, k: int) -> list[tuple[Word, Occurrence, Occurrence]]:
-    """Every piece of length k with its first two occurrences.
+def _witnesses(
+    p: Presentation, codes: np.ndarray, k: int, keys: np.ndarray, scratch: np.ndarray
+) -> list[tuple[Word, Occurrence, Occurrence]]:
+    """Every piece of length k with its first two occurrences, from the
+    k-gram labels `keys`; `scratch` is a buffer of their shape.
 
-    A stable argsort of the k-gram labels groups equal grams in word order
-    and keeps each group's flat indices, hence its occurrences, in reading
-    order.  Packed labels compare as base-2n numbers of equal length, that
-    is in word order.  A pair label compares its first half-gram first and
-    then its second; when the first halves agree, the second halves share
-    the letters where the two halves overlap, so they differ first where
-    the grams do.  Dense ranks keep the order of what they rank."""
+    The labels are sorted into the scratch buffer, and the values that
+    repeat are kept; each is a piece of maximum length, so they are few.
+    The grams carrying them are marked by a binary search, one slice at a
+    time so that its index arrays stay small beside the labels, and
+    flatnonzero lists the marked grams in reading order.  A
+    stable argsort of their labels groups equal grams in word order and
+    keeps each group in reading order.  Packed labels compare as base-2n
+    numbers of equal length, that is in word order.  A pair label
+    compares its first half-gram first and then its second; when the
+    first halves agree, the second halves share the letters where the two
+    halves overlap, so they differ first where the grams do.  Dense ranks
+    keep the order of what they rank."""
     l, n = p.length, p.rank
-    keys = _labels(codes, 2 * n, k)[0].reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    keys.sort()  # now keys[i] is the old keys[order[i]]
-    same = keys[1:] == keys[:-1]
-    firsts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
+    flat, ordered = keys.reshape(-1), scratch.reshape(-1)
+    np.copyto(ordered, flat)
+    ordered.sort()
+    mask = np.empty(len(flat), dtype=bool)
+    mask[0] = False
+    np.equal(ordered[1:], ordered[:-1], out=mask[1:])
+    repeated = ordered[mask]  # sorted, each value once per extra gram
+    for s in range(0, len(flat), _MARK_SLICE):
+        part = flat[s : s + _MARK_SLICE]
+        at = np.searchsorted(repeated, part)
+        np.minimum(at, len(repeated) - 1, out=at)
+        np.equal(repeated[at], part, out=mask[s : s + len(part)])
+    marked = np.flatnonzero(mask)
+    labels = flat[marked]
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    firsts = np.flatnonzero(np.concatenate([[True], labels[1:] != labels[:-1]]))
     alphabet = [*range(-n, 0), *range(1, n + 1)]
 
-    def occurrence(flat: int) -> Occurrence:
-        row, start = divmod(flat, l)
+    def occurrence(index: int) -> Occurrence:
+        row, start = divmod(index, l)
         return Occurrence(row // 2, 1 - 2 * (row % 2), start)
 
     out = []
     for i in firsts.tolist():
-        a, b = int(order[i]), int(order[i + 1])
+        a, b = int(marked[order[i]]), int(marked[order[i + 1]])
         row, start = divmod(a, l)
         word = Word(alphabet[c] for c in codes[row, start : start + k].tolist())
         out.append((word, occurrence(a), occurrence(b)))
@@ -212,7 +302,9 @@ def satisfies_cprime(p: Presentation, lam) -> bool:
     """True iff every piece is strictly shorter than lam * length, i.e.
     no piece of length k = ceil(lam * length) exists.
 
-    A presentation with no relators satisfies every C'(lambda).
+    A presentation with no relators satisfies every C'(lambda).  When k is
+    at most the pigeonhole floor of _forced_piece_length, a piece of
+    length k exists without reading a letter.
     """
     if not p.relators:
         return True
@@ -221,6 +313,8 @@ def satisfies_cprime(p: Presentation, lam) -> bool:
         return False
     if k > p.length:
         return True
+    if k <= _forced_piece_length(p.rank, 2 * p.n_relators * p.length, p.length):
+        return False
     return not _has_piece(_readings(p), 2 * p.rank, k)
 
 

@@ -594,3 +594,46 @@ def geometry_scan_oracle(ball, checks=("single-layer", "digons", "minimizers")):
         rep.triples_checked += checked
         rep.violations.extend(bad)
     return rep
+
+
+def max_piece_by_bisection(p: Presentation):
+    """cancellation.max_piece_length the long way: k = 1 probed first, then
+    a binary search over [1, l] with every probe's labels built from
+    scratch, and the witnesses from a stable argsort of all 2N*l labels
+    at the maximum.  It reads the kernel (_readings, _labels, _has_piece)
+    but not the floor, the held labels or the marking of repeated grams.
+    Returns a cancellation.PieceReport."""
+    import numpy as np
+
+    from randgroups.cancellation import Occurrence, PieceReport, _has_piece, _labels, _readings
+
+    if not p.relators:
+        return PieceReport(0, [])
+    codes, base, l, n = _readings(p), 2 * p.rank, p.length, p.rank
+    if not _has_piece(codes, base, 1):
+        return PieceReport(0, [])
+    lo, hi = 1, l  # piece of length lo exists; none of length hi+1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _has_piece(codes, base, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    keys = _labels(codes, base, lo)[0].reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    keys.sort()  # now keys[i] is the old keys[order[i]]
+    same = keys[1:] == keys[:-1]
+    firsts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
+    alphabet = [*range(-n, 0), *range(1, n + 1)]
+
+    def occurrence(flat: int) -> Occurrence:
+        row, start = divmod(flat, l)
+        return Occurrence(row // 2, 1 - 2 * (row % 2), start)
+
+    witnesses = []
+    for i in firsts.tolist():
+        a, b = int(order[i]), int(order[i + 1])
+        row, start = divmod(a, l)
+        word = Word(alphabet[c] for c in codes[row, start : start + lo].tolist())
+        witnesses.append((word, occurrence(a), occurrence(b)))
+    return PieceReport(lo, witnesses)

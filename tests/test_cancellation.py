@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from randgroups.cancellation import (
 from randgroups import cancellation
 from oracles import (
     max_piece_oracle,
+    max_piece_by_bisection,
     all_cyclic_occurrences,
     bfs_trivial_oracle,
     dehn_walk_oracle,
@@ -125,6 +128,8 @@ def _oracle_report(p):
 
 def _assert_matches_oracle(p):
     k, witnesses = _oracle_report(p)
+    if p.relators:
+        assert k >= cancellation._forced_piece_length(p.rank, 2 * p.n_relators * p.length, p.length)
     rep = max_piece_length(p)
     assert (rep.max_piece_length, [(w, tuple(a), tuple(b)) for w, a, b in rep.witnesses]) == (k, witnesses)
     for lam in LAMBDAS:
@@ -141,17 +146,20 @@ def test_pieces_and_gate_match_oracle_on_seeded_presentations(rank, density):
         _assert_matches_oracle(p)
 
 
+FIXED_CASES = (
+    Presentation(2, [W("a")]),
+    Presentation(2, [W("a"), W("A")]),
+    Presentation(2, [W("abab")]),
+    Presentation(2, [W("abab"), W("abab")]),
+    Presentation(3, [W("abcacb"), W("CBCABA"), W("abcacb")]),
+)
+
+
 def test_pieces_fixed_cases():
     empty = Presentation(2, [], 0)
     assert max_piece_length(empty).max_piece_length == 0
     assert all(satisfies_cprime(empty, lam) for lam in LAMBDAS)
-    for p in (
-        Presentation(2, [W("a")]),
-        Presentation(2, [W("a"), W("A")]),
-        Presentation(2, [W("abab")]),
-        Presentation(2, [W("abab"), W("abab")]),
-        Presentation(3, [W("abcacb"), W("CBCABA"), W("abcacb")]),
-    ):
+    for p in FIXED_CASES:
         _assert_matches_oracle(p)
     assert max_piece_length(Presentation(2, [W("a")])).witnesses == []
     rep = max_piece_length(Presentation(2, [W("a"), W("A")]))
@@ -250,6 +258,77 @@ def test_piece_keys_are_one_int64_per_gram():
             assert keys.dtype == np.int64
             assert keys.shape == (2 * p.n_relators * p.length,)
             assert keys.min() >= 0
+
+
+def test_forced_piece_length_counts_reduced_words():
+    for n in (2, 3):
+        counts = Counter(len(w) for w in enumerate_reduced_words(n, 5))
+        for l in range(1, 6):
+            for grams in range(1, 1000, 7):
+                k = cancellation._forced_piece_length(n, grams, l)
+                assert 0 <= k <= l
+                assert all(counts[j] < grams for j in range(1, k + 1))
+                assert k == l or counts[k + 1] >= grams
+
+
+def test_gate_is_decided_by_the_pigeonhole_floor(monkeypatch):
+    # N = 3^6 = 729 relators of length 30 give 43 740 grams, more than the
+    # 4 * 3^8 reduced words of length 9, so pieces of length 9 are forced
+    # and C'(1/6), which forbids length 5, fails without a kernel call
+    p = sample_presentation(DensityParams(2, Fraction(1, 5), 30, 1))
+    assert p.n_relators == 729
+    assert cancellation._forced_piece_length(2, 2 * 729 * 30, 30) == 9
+    assert _has_piece(_readings(p), 4, 9)
+    calls = []
+    labels = cancellation._labels
+    monkeypatch.setattr(cancellation, "_labels", lambda *args: calls.append(args[2]) or labels(*args))
+    assert not satisfies_cprime(p, Fraction(1, 6))
+    assert calls == []
+    satisfies_cprime(p, Fraction(1, 2))
+    assert calls == [15]
+
+
+# the planted cases of test_piece_kernel_is_exact_on_every_label_route
+PLANTED_CASES = {
+    (2, 13): (4, 7, 13),
+    (2, 48): (31, 32, 33, 35, 47, 48),
+    (3, 48): (24, 25, 26, 41),
+    (5, 48): (18, 19, 36, 37, 40),
+    (26, 30): (11, 12, 13, 22, 23, 29, 30),
+}
+
+
+def test_max_piece_matches_the_bisection_reference():
+    """The search from the floor on held labels, and the witnesses from the
+    marked grams, give the PieceReport of a bisection from k = 1 with
+    fresh labels per probe and a stable argsort of every label."""
+    # its 2 * 4 * 6 = 48 grams outnumber the 36 reduced words of length 3,
+    # and no word of length 4 repeats: the maximum is the floor
+    at_floor = Presentation(2, [W(s) for s in ("Abbbab", "aaabaB", "aBaBBa", "aBAbba")])
+    assert cancellation._forced_piece_length(2, 48, 6) == 3 == max_piece_length(at_floor).max_piece_length
+    cases = [at_floor, GENUS2, Presentation(2, [], 0), *FIXED_CASES]
+    # the grid points of the dense-pieces benchmark workload
+    for n, d, l in ((3, Fraction(1, 16), 32), (2, Fraction(1, 10), 50)):
+        cases += [sample_presentation(DensityParams(n, d, l, seed)) for seed in range(4)]
+    cases += [_planted(n, l, arc, 1000 * n + arc) for (n, l), arcs in PLANTED_CASES.items() for arc in arcs]
+    past_packed = 0
+    for p in cases:
+        rep = max_piece_length(p)
+        assert rep == max_piece_by_bisection(p), p
+        past_packed += (2 * p.rank) ** rep.max_piece_length >= cancellation._KEY_LIMIT
+    assert past_packed >= 5
+
+
+def test_max_piece_peak_is_at_most_three_label_arrays():
+    p = sample_presentation(DensityParams(3, Fraction(1, 16), 64, 1))
+    max_piece_length(p)
+    tracemalloc.start()
+    try:
+        max_piece_length(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 2 * p.n_relators * p.length
 
 
 def test_dehn_reduce_whole_relator():

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from randgroups import cancellation
+from randgroups.cancellation import satisfies_cprime
 from randgroups.cli import main
 from randgroups.words import Presentation, Word
 
@@ -26,6 +29,24 @@ def test_sample_check_wp_pipeline(tmp_path, capsys):
     assert main(["wp", "--in", str(pres), "--word", "ab"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["trivial"] is False
+
+
+def test_check_searches_the_pieces_once(tmp_path, monkeypatch, capsys):
+    # seed 0 at rank 2, length 24: its 48 grams force no piece of length
+    # ceil(24/6) = 4, so only the kernel decides C'(1/6)
+    pres = tmp_path / "pres.txt"
+    main(["sample", "--rank", "2", "--density", "0", "--length", "24", "--seed", "0", "--out", str(pres)])
+    p = Presentation.load(pres)
+    verdicts = {lam: satisfies_cprime(p, Fraction(lam)) for lam in ("1/8", "1/6", "1/2")}
+    assert set(verdicts.values()) == {True, False}
+    calls = []
+    readings = cancellation._readings
+    monkeypatch.setattr(cancellation, "_readings", lambda p: calls.append(p) or readings(p))
+    for lam, ok in verdicts.items():
+        calls.clear()
+        assert main(["check", "--in", str(pres), "--lambda", lam]) == 0
+        assert f"verdict: {'satisfied' if ok else 'violated'}" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 def test_ball_command(tmp_path, capsys):
